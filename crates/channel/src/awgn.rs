@@ -26,13 +26,12 @@ impl Awgn {
         out
     }
 
-    /// [`Awgn::add_noise_power`] mutating the frame in place (same RNG
-    /// draw order), so the per-packet link loop needs no noise-output
-    /// buffer.
+    /// [`Awgn::add_noise_power`] mutating the frame in place, so the
+    /// per-packet link loop needs no noise-output buffer. The deviates
+    /// come in blocks from [`Rng::add_complex_gaussian`], bit-identical
+    /// to one `complex_gaussian(noise_power)` per sample.
     pub fn add_noise_power_in_place(&mut self, x: &mut [Complex], noise_power: f64) {
-        for v in x.iter_mut() {
-            *v += self.rng.complex_gaussian(noise_power);
-        }
+        self.rng.add_complex_gaussian(x, noise_power);
     }
 
     /// Adds noise at a target SNR in dB, measured against the *actual*
@@ -98,6 +97,36 @@ mod tests {
         let mut b = Awgn::new(7);
         let x = vec![Complex::ZERO; 16];
         assert_eq!(a.add_noise_power(&x, 1.0), b.add_noise_power(&x, 1.0));
+    }
+
+    #[test]
+    fn in_place_matches_samples() {
+        use wlan_dsp::rng::COMPLEX_CHUNK;
+        for seed in 0..4 {
+            for n in [1, COMPLEX_CHUNK - 1, COMPLEX_CHUNK, COMPLEX_CHUNK + 1, 5377] {
+                let x: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, 1.0)).collect();
+                let mut block = Awgn::new(seed);
+                let mut scalar = Awgn::new(seed);
+                let mut got = x.clone();
+                // Two frames, so the second starts mid-stream.
+                block.add_noise_power_in_place(&mut got[..n / 2], 0.2);
+                block.add_noise_power_in_place(&mut got[n / 2..], 0.2);
+                let noise = scalar.samples(n, 0.2);
+                for (i, (g, (&v, &w))) in got.iter().zip(x.iter().zip(&noise)).enumerate() {
+                    let want = v + w;
+                    assert_eq!(
+                        g.re.to_bits(),
+                        want.re.to_bits(),
+                        "seed {seed} n {n} at {i}"
+                    );
+                    assert_eq!(
+                        g.im.to_bits(),
+                        want.im.to_bits(),
+                        "seed {seed} n {n} at {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,20 @@
 //! machines and library versions, so the workspace ships its own small
 //! generator instead of depending on an external crate: xoshiro256**
 //! (Blackman & Vigna, 2018) seeded through SplitMix64, with uniform,
-//! Gaussian (polar Box-Muller) and complex-Gaussian output.
+//! Gaussian (polar Box-Muller) and complex-Gaussian output. The block
+//! forms (`fill_gaussian`, `add_complex_gaussian`) return the same bits
+//! as the per-call forms, so frame-sized noise loops can use them
+//! without changing any simulated result.
 
 use crate::complex::Complex;
+
+/// Accepted Box-Muller pairs per [`Rng::fill_gaussian`] block (three
+/// stack arrays of this many `f64`).
+const GAUSS_BLOCK: usize = 64;
+
+/// Complex samples per [`Rng::add_complex_gaussian`] chunk (a stack
+/// buffer of twice this many `f64`).
+pub const COMPLEX_CHUNK: usize = 256;
 
 /// xoshiro256** pseudo-random generator.
 ///
@@ -123,11 +134,84 @@ impl Rng {
         }
     }
 
+    /// Fills `out` with exactly the values `out.len()` successive
+    /// [`Rng::gaussian`] calls would return, to the bit — a pending spare
+    /// deviate is consumed first, and an odd count leaves the last pair's
+    /// second deviate as the spare for the next call.
+    ///
+    /// Works in blocks of 64 pairs held on the stack: first
+    /// the serial xoshiro chain draws uniform pairs and keeps the accepted
+    /// `(u, v, s)` triples (the accept test only advances a cursor, so a
+    /// rejected pair is overwritten by the next), then an independent
+    /// pass applies `(-2·ln s / s).sqrt()` to every kept triple so the
+    /// `ln`/div/sqrt latencies overlap instead of stalling the chain.
+    /// Each deviate sees the same float operations in the same order as
+    /// the scalar path.
+    pub fn fill_gaussian(&mut self, out: &mut [f64]) {
+        let out = match (self.gauss_spare.take(), out) {
+            (Some(g), [first, rest @ ..]) => {
+                *first = g;
+                rest
+            }
+            (spare, out) => {
+                self.gauss_spare = spare;
+                out
+            }
+        };
+        let mut us = [0.0f64; GAUSS_BLOCK];
+        let mut vs = [0.0f64; GAUSS_BLOCK];
+        let mut ss = [0.0f64; GAUSS_BLOCK];
+        for chunk in out.chunks_mut(2 * GAUSS_BLOCK) {
+            let want = chunk.len().div_ceil(2);
+            let mut k = 0;
+            while k < want {
+                let u = 2.0 * self.uniform() - 1.0;
+                let v = 2.0 * self.uniform() - 1.0;
+                let s = u * u + v * v;
+                us[k] = u;
+                vs[k] = v;
+                ss[k] = s;
+                k += ((s > 0.0) & (s < 1.0)) as usize;
+            }
+            let mut pairs = chunk.chunks_exact_mut(2);
+            for (((pair, &u), &v), &s) in pairs.by_ref().zip(&us).zip(&vs).zip(&ss) {
+                let m = (-2.0 * s.ln() / s).sqrt();
+                pair[0] = u * m;
+                pair[1] = v * m;
+            }
+            // Only the final chunk can be odd: its last pair fills one
+            // slot and parks the other deviate as the spare.
+            if let [last] = pairs.into_remainder() {
+                let (u, v, s) = (us[want - 1], vs[want - 1], ss[want - 1]);
+                let m = (-2.0 * s.ln() / s).sqrt();
+                *last = u * m;
+                self.gauss_spare = Some(v * m);
+            }
+        }
+    }
+
     /// Circularly-symmetric complex Gaussian sample with total variance
     /// `E[|z|²] = variance` (i.e. `variance/2` per real dimension).
     pub fn complex_gaussian(&mut self, variance: f64) -> Complex {
         let sigma = (variance / 2.0).sqrt();
         Complex::new(sigma * self.gaussian(), sigma * self.gaussian())
+    }
+
+    /// Adds one [`Rng::complex_gaussian`]`(variance)` sample to every
+    /// element of `buf`, bit-identical to the per-sample loop: sigma is
+    /// the same value hoisted, and the deviates come from
+    /// [`Rng::fill_gaussian`] in chunks of [`COMPLEX_CHUNK`] samples
+    /// through a stack buffer, so no call allocates.
+    pub fn add_complex_gaussian(&mut self, buf: &mut [Complex], variance: f64) {
+        let sigma = (variance / 2.0).sqrt();
+        let mut g = [0.0f64; 2 * COMPLEX_CHUNK];
+        for chunk in buf.chunks_mut(COMPLEX_CHUNK) {
+            let g = &mut g[..2 * chunk.len()];
+            self.fill_gaussian(g);
+            for (v, d) in chunk.iter_mut().zip(g.chunks_exact(2)) {
+                *v += Complex::new(sigma * d[0], sigma * d[1]);
+            }
+        }
     }
 }
 
@@ -189,6 +273,91 @@ mod tests {
         assert!(mean.abs() < 0.01);
         assert!((var - 1.0).abs() < 0.02);
         assert!((kurt - 3.0).abs() < 0.1); // Gaussian kurtosis
+    }
+
+    const FILL_LENS: [usize; 9] = [0, 1, 2, 63, 64, 65, 127, 1408, 5377];
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fill_gaussian_matches_scalar_calls() {
+        for seed in 0..16u64 {
+            for &len in &FILL_LENS {
+                for with_spare in [false, true] {
+                    let mut block = Rng::new(seed);
+                    if with_spare {
+                        // One scalar draw leaves the pair's second deviate
+                        // pending.
+                        block.gaussian();
+                        assert!(block.gauss_spare.is_some());
+                    }
+                    let mut scalar = block.clone();
+                    let mut got = vec![0.0; len];
+                    block.fill_gaussian(&mut got);
+                    let want: Vec<f64> = (0..len).map(|_| scalar.gaussian()).collect();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "seed {seed} len {len} spare {with_spare}"
+                    );
+                    // Same xoshiro state and same pending spare after.
+                    assert_eq!(block, scalar, "seed {seed} len {len} spare {with_spare}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_gaussian_interleaves_with_scalar_draws() {
+        for seed in 0..16u64 {
+            let mut block = Rng::new(seed);
+            let mut scalar = block.clone();
+            let mut choose = Rng::new(seed ^ 0xF111);
+            for step in 0..40 {
+                match choose.below(4) {
+                    0 => assert_eq!(block.gaussian().to_bits(), scalar.gaussian().to_bits()),
+                    1 => assert_eq!(block.uniform().to_bits(), scalar.uniform().to_bits()),
+                    _ => {
+                        let len = FILL_LENS[choose.below(FILL_LENS.len() as u64) as usize];
+                        let mut got = vec![0.0; len];
+                        block.fill_gaussian(&mut got);
+                        let want: Vec<f64> = (0..len).map(|_| scalar.gaussian()).collect();
+                        assert_eq!(bits(&got), bits(&want), "seed {seed} step {step}");
+                    }
+                }
+                assert_eq!(block, scalar, "seed {seed} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn add_complex_gaussian_matches_complex_gaussian() {
+        for seed in 0..16u64 {
+            for len in [
+                0,
+                1,
+                COMPLEX_CHUNK - 1,
+                COMPLEX_CHUNK,
+                COMPLEX_CHUNK + 1,
+                1337,
+            ] {
+                let mut block = Rng::new(seed);
+                let mut scalar = block.clone();
+                let base: Vec<Complex> = (0..len)
+                    .map(|i| Complex::new(i as f64, -(i as f64) * 0.5))
+                    .collect();
+                let mut got = base.clone();
+                block.add_complex_gaussian(&mut got, 0.37);
+                for (g, &b) in got.iter().zip(&base) {
+                    let want = b + scalar.complex_gaussian(0.37);
+                    assert_eq!(g.re.to_bits(), want.re.to_bits(), "seed {seed} len {len}");
+                    assert_eq!(g.im.to_bits(), want.im.to_bits(), "seed {seed} len {len}");
+                }
+                assert_eq!(block, scalar, "seed {seed} len {len}");
+            }
+        }
     }
 
     #[test]

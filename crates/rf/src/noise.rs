@@ -52,23 +52,23 @@ impl ThermalNoise {
     }
 
     /// Adds one noise sample to every element of `buf` — the stage-major
-    /// form of calling [`ThermalNoise::next_sample`] per sample. The
-    /// per-dimension sigma is hoisted out of the loop; it is the same
-    /// value `Rng::complex_gaussian` recomputes on every call and the
-    /// Gaussian deviates are drawn in the same order, so the result is
-    /// bit-identical.
+    /// form of calling [`ThermalNoise::next_sample`] per sample, drawn in
+    /// blocks through [`Rng::add_complex_gaussian`], which is
+    /// bit-identical to per-sample `complex_gaussian` calls.
     pub fn add_to(&mut self, buf: &mut [Complex]) {
         if self.power <= 0.0 {
             return;
         }
-        let sigma = (self.power / 2.0).sqrt();
-        for v in buf.iter_mut() {
-            let re = sigma * self.rng.gaussian();
-            let im = sigma * self.rng.gaussian();
-            *v += Complex::new(re, im);
-        }
+        self.rng.add_complex_gaussian(buf, self.power);
     }
 }
+
+/// Most octave sections a [`FlickerNoise`] synthesizes.
+const MAX_FLICKER_SECTIONS: usize = 11;
+
+/// Samples per [`FlickerNoise::add_scaled_to`] chunk; its stack buffer
+/// holds `FLICKER_CHUNK × 2 × MAX_FLICKER_SECTIONS` deviates (11 KiB).
+const FLICKER_CHUNK: usize = 64;
 
 /// Flicker (1/f) noise approximated by a sum of first-order lowpass
 /// filtered white sources with octave-spaced corner frequencies — the
@@ -104,7 +104,7 @@ impl FlickerNoise {
         let mut sections = Vec::new();
         let mut f = corner_hz;
         let mut weight = 1.0f64;
-        for _ in 0..11 {
+        for _ in 0..MAX_FLICKER_SECTIONS {
             let pole = (-2.0 * std::f64::consts::PI * f / sample_rate_hz).exp();
             sections.push((Complex::ZERO, pole, (1.0 - pole) * weight));
             f /= 2.0;
@@ -135,21 +135,28 @@ impl FlickerNoise {
     }
 
     /// Adds `next_sample() * scale` to every element of `buf`, with the
-    /// per-section loop tightened for the frame-sized path: the white
-    /// drive is `complex_gaussian(2.0)`, whose sigma is exactly 1.0, so
-    /// the deviates are used directly (IEEE multiplication by 1.0 is the
-    /// identity), and the sections are walked in place instead of by
-    /// index. Draw order and arithmetic match `next_sample`, so the
-    /// result is bit-identical.
+    /// white drive drawn in blocks: each chunk of 64 samples takes its
+    /// `2 × sections` deviates per sample from one [`Rng::fill_gaussian`]
+    /// call into a stack buffer, in exactly the order `next_sample`
+    /// draws them. That drive is `complex_gaussian(2.0)`, whose sigma is
+    /// exactly 1.0, so the deviates are used directly (IEEE
+    /// multiplication by 1.0 is the identity) and the result is
+    /// bit-identical.
     pub fn add_scaled_to(&mut self, buf: &mut [Complex], scale: f64) {
-        for v in buf.iter_mut() {
-            let mut acc = Complex::ZERO;
-            for s in self.sections.iter_mut() {
-                let w = Complex::new(self.rng.gaussian(), self.rng.gaussian());
-                s.0 = s.0 * s.1 + w * s.2;
-                acc += s.0;
+        let per_sample = 2 * self.sections.len();
+        let mut g = [0.0f64; FLICKER_CHUNK * 2 * MAX_FLICKER_SECTIONS];
+        for chunk in buf.chunks_mut(FLICKER_CHUNK) {
+            let g = &mut g[..chunk.len() * per_sample];
+            self.rng.fill_gaussian(g);
+            for (v, drive) in chunk.iter_mut().zip(g.chunks_exact(per_sample)) {
+                let mut acc = Complex::ZERO;
+                for (s, w) in self.sections.iter_mut().zip(drive.chunks_exact(2)) {
+                    let w = Complex::new(w[0], w[1]);
+                    s.0 = s.0 * s.1 + w * s.2;
+                    acc += s.0;
+                }
+                *v += (acc * self.white_gain) * scale;
             }
-            *v += (acc * self.white_gain) * scale;
         }
     }
 }
@@ -214,6 +221,59 @@ mod tests {
         let high = density_at(200e3);
         assert!(low > 3.0 * mid, "no 1/f slope: {low} vs {mid}");
         assert!(mid > 2.0 * high, "corner missing: {mid} vs {high}");
+    }
+
+    fn ramp(n: usize) -> Vec<Complex> {
+        (0..n)
+            .map(|i| Complex::new(1e-3 * i as f64, -2e-3 * i as f64))
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[Complex], want: &[Complex], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.re.to_bits(), w.re.to_bits(), "{what}: re at {i}");
+            assert_eq!(g.im.to_bits(), w.im.to_bits(), "{what}: im at {i}");
+        }
+    }
+
+    #[test]
+    fn thermal_add_to_matches_next_sample() {
+        use wlan_dsp::rng::COMPLEX_CHUNK;
+        for seed in 0..4 {
+            for n in [1, COMPLEX_CHUNK - 1, COMPLEX_CHUNK, COMPLEX_CHUNK + 1, 5377] {
+                let mut block = ThermalNoise::new(3e-9, Rng::new(seed));
+                let mut scalar = block.clone();
+                let mut got = ramp(n);
+                // Two frames, so the second starts mid-stream.
+                block.add_to(&mut got[..n / 2]);
+                block.add_to(&mut got[n / 2..]);
+                let want: Vec<Complex> =
+                    ramp(n).iter().map(|&v| v + scalar.next_sample()).collect();
+                assert_same_bits(&got, &want, &format!("thermal seed {seed} n {n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn flicker_add_scaled_to_matches_next_sample() {
+        // 11 sections (the cap) and a low corner that stops at 4.
+        for corner in [50e3, 0.1] {
+            for n in [1, FLICKER_CHUNK - 1, FLICKER_CHUNK, FLICKER_CHUNK + 1, 1000] {
+                let mut block = FlickerNoise::new(1e-6, corner, 1e6, Rng::new(8));
+                assert!(block.sections.len() <= MAX_FLICKER_SECTIONS);
+                let mut scalar = block.clone();
+                let scale = 0.75;
+                let mut got = ramp(n);
+                block.add_scaled_to(&mut got[..n / 3], scale);
+                block.add_scaled_to(&mut got[n / 3..], scale);
+                let want: Vec<Complex> = ramp(n)
+                    .iter()
+                    .map(|&v| v + scalar.next_sample() * scale)
+                    .collect();
+                assert_same_bits(&got, &want, &format!("flicker corner {corner} n {n}"));
+            }
+        }
     }
 
     #[test]

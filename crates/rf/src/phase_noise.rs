@@ -4,6 +4,10 @@
 
 use wlan_dsp::{Complex, Rng};
 
+/// Samples per [`PhaseNoise::process_in_place`] chunk (one stack buffer
+/// of this many `f64` deviates).
+const PHASE_CHUNK: usize = 256;
+
 /// Wiener phase-noise process.
 ///
 /// The phase performs a random walk with per-sample variance
@@ -66,15 +70,22 @@ impl PhaseNoise {
     }
 
     /// Applies the oscillator to a frame in place — one enabled check for
-    /// the whole frame instead of per sample; otherwise the exact
-    /// per-sample recurrence of [`PhaseNoise::push`], so bit-identical.
+    /// the whole frame instead of per sample, and the walk's increments
+    /// drawn in chunks of 256 through [`Rng::fill_gaussian`]
+    /// into a stack buffer; otherwise the exact per-sample recurrence of
+    /// [`PhaseNoise::push`], so bit-identical.
     pub fn process_in_place(&mut self, x: &mut [Complex]) {
         if !self.enabled {
             return;
         }
-        for v in x.iter_mut() {
-            *v *= Complex::cis(self.phase);
-            self.phase += self.sigma * self.rng.gaussian();
+        let mut g = [0.0f64; PHASE_CHUNK];
+        for chunk in x.chunks_mut(PHASE_CHUNK) {
+            let g = &mut g[..chunk.len()];
+            self.rng.fill_gaussian(g);
+            for (v, &d) in chunk.iter_mut().zip(g.iter()) {
+                *v *= Complex::cis(self.phase);
+                self.phase += self.sigma * d;
+            }
         }
     }
 
@@ -93,6 +104,27 @@ mod tests {
         let mut pn = PhaseNoise::off();
         let x = Complex::new(1.0, 2.0);
         assert_eq!(pn.push(x), x);
+    }
+
+    #[test]
+    fn process_in_place_matches_push() {
+        for seed in 0..4 {
+            for n in [1, PHASE_CHUNK - 1, PHASE_CHUNK, PHASE_CHUNK + 1, 5377] {
+                let x: Vec<Complex> = (0..n).map(|i| Complex::from_polar(1.5, i as f64)).collect();
+                let mut block = PhaseNoise::new(5e3, 80e6, Rng::new(seed));
+                let mut scalar = block.clone();
+                let mut got = x.clone();
+                // Two frames, so the second starts mid-stream.
+                block.process_in_place(&mut got[..n / 2]);
+                block.process_in_place(&mut got[n / 2..]);
+                let want: Vec<Complex> = x.iter().map(|&v| scalar.push(v)).collect();
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.re.to_bits(), w.re.to_bits(), "seed {seed} n {n} at {i}");
+                    assert_eq!(g.im.to_bits(), w.im.to_bits(), "seed {seed} n {n} at {i}");
+                }
+                assert_eq!(block.phase().to_bits(), scalar.phase().to_bits());
+            }
+        }
     }
 
     #[test]

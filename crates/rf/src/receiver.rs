@@ -168,8 +168,11 @@ impl DoubleConversionReceiver {
         self.config.sample_rate_hz / self.config.osr as f64
     }
 
-    /// Enables/disables all stochastic noise in the chain.
+    /// Enables/disables all stochastic noise in the chain, keeping
+    /// [`RfConfig::noise_enabled`] in [`DoubleConversionReceiver::config`]
+    /// in sync.
     pub fn set_noise_enabled(&mut self, enabled: bool) {
+        self.config.noise_enabled = enabled;
         self.lna.set_noise_enabled(enabled);
         self.mixer1.set_noise_enabled(enabled);
         self.mixer2.set_noise_enabled(enabled);
@@ -460,6 +463,25 @@ mod tests {
             p_want > 50.0 * p_adj,
             "wanted {p_want} vs adjacent leak {p_adj}"
         );
+    }
+
+    #[test]
+    fn set_noise_enabled_keeps_config_in_sync() {
+        let x = tone_dbm(2e6, 80e6, -60.0, 4000);
+        let quiet = RfConfig {
+            noise_enabled: false,
+            ..RfConfig::default()
+        };
+        let mut toggled = DoubleConversionReceiver::new(RfConfig::default(), 6);
+        toggled.set_noise_enabled(false);
+        assert!(!toggled.config().noise_enabled);
+        assert_eq!(toggled.config(), &quiet);
+        // Toggling off behaves exactly like building without noise.
+        let mut built_quiet = DoubleConversionReceiver::new(quiet, 6);
+        assert_eq!(toggled.process(&x), built_quiet.process(&x));
+        toggled.set_noise_enabled(true);
+        assert!(toggled.config().noise_enabled);
+        assert_eq!(toggled.config(), &RfConfig::default());
     }
 
     #[test]
