@@ -20,6 +20,10 @@ use wlan_rf::agc::{Agc, AgcMode};
 /// Co-simulated double-conversion receiver.
 pub struct CosimReceiver {
     devices: Vec<Box<dyn AnalogDevice>>,
+    /// Number of leading memoryless devices
+    /// ([`AnalogDevice::is_memoryless`]), run once per system sample
+    /// ahead of the ZOH expansion.
+    memoryless_prefix: usize,
     analog_osr: usize,
     dt: f64,
     agc: Agc,
@@ -41,6 +45,10 @@ pub struct CosimReceiver {
 /// small enough that the `chunk · analog_osr` expanded buffer stays
 /// cache-resident even at Table 2's `analog_osr = 64`.
 const COSIM_CHUNK: usize = 1024;
+
+/// Highest accepted `analog_osr`: 16× Table 2's 64, and a bound on the
+/// `COSIM_CHUNK · analog_osr` expanded buffer (16 MiB here).
+pub const MAX_ANALOG_OSR: usize = 1024;
 
 impl std::fmt::Debug for CosimReceiver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -65,17 +73,37 @@ impl CosimReceiver {
     /// # Errors
     ///
     /// Returns a [`NetlistError`] if the netlist fails to parse or
-    /// elaborate.
+    /// elaborate, and [`NetlistError::InvalidSetting`] unless
+    /// `sample_rate_hz` is finite and positive, `analog_osr` is in
+    /// `1..=`[`MAX_ANALOG_OSR`] and `decimation ≥ 1`.
     pub fn from_netlist(
         text: &str,
         sample_rate_hz: f64,
         analog_osr: usize,
         decimation: usize,
     ) -> Result<Self, NetlistError> {
-        assert!(analog_osr >= 1, "analog_osr must be >= 1");
+        let setting = |setting, value, expected| NetlistError::InvalidSetting {
+            setting,
+            value,
+            expected,
+        };
+        if !(sample_rate_hz.is_finite() && sample_rate_hz > 0.0) {
+            return Err(setting(
+                "sample_rate_hz",
+                sample_rate_hz,
+                "a finite value > 0",
+            ));
+        }
+        if !(1..=MAX_ANALOG_OSR).contains(&analog_osr) {
+            return Err(setting("analog_osr", analog_osr as f64, "1 to 1024"));
+        }
+        if decimation == 0 {
+            return Err(setting("decimation", 0.0, "at least 1"));
+        }
         let netlist = Netlist::parse(text)?;
         let devices = elaborate(&netlist, "rf", "out")?;
         Ok(CosimReceiver {
+            memoryless_prefix: devices.iter().take_while(|d| d.is_memoryless()).count(),
             devices,
             analog_osr,
             dt: 1.0 / (sample_rate_hz * analog_osr as f64),
@@ -152,35 +180,45 @@ impl CosimReceiver {
     /// the decimator keeps (it is stateless per sample, so skipping
     /// dropped samples is bit-identical to converting the whole frame).
     ///
-    /// The analog engine runs *device-major over chunks*: a chunk of
-    /// system samples is ZOH-expanded to the sub-step rate once, then
-    /// each device advances over the whole expanded block with a single
-    /// virtual call ([`AnalogDevice::step_block`]). Every device is a
-    /// per-sample state machine seeing the same input sequence either
-    /// way, so this is bit-identical to the sample-by-sample reference
-    /// loop ([`CosimReceiver::process_into_sample_by_sample`], pinned by
-    /// the block-vs-sample differential tests).
+    /// The analog engine runs *device-major over chunks*. The chain's
+    /// leading memoryless devices run over the chunk of system samples
+    /// itself; the result is ZOH-expanded to the sub-step rate, then each
+    /// remaining device advances over the whole expanded block with a
+    /// single virtual call ([`AnalogDevice::step_block`]). A memoryless
+    /// device maps a held input to the same bits on every sub-step, and
+    /// every other device is a per-sample state machine seeing the same
+    /// input sequence either way, so this is bit-identical to the
+    /// sample-by-sample reference loop
+    /// ([`CosimReceiver::process_into_sample_by_sample`], pinned by the
+    /// block-vs-sample differential tests).
     pub fn process_into(&mut self, x: &[Complex], out: &mut Vec<Complex>) {
         let osr = self.analog_osr;
+        let (prefix, stateful) = self.devices.split_at_mut(self.memoryless_prefix);
         self.analog.clear();
         self.analog.reserve(x.len());
         let mut expanded = std::mem::take(&mut self.expanded);
         for chunk in x.chunks(COSIM_CHUNK) {
-            // ZOH: each system sample held over its `osr` sub-steps.
-            expanded.clear();
-            expanded.reserve(chunk.len() * osr);
-            for &u in chunk {
-                for _ in 0..osr {
-                    expanded.push(u);
-                }
+            let n = chunk.len();
+            // Every element is overwritten below; `resize` only sets the
+            // length.
+            expanded.resize(n * osr, Complex::ZERO);
+            expanded[..n].copy_from_slice(chunk);
+            for d in prefix.iter_mut() {
+                d.step_block(&mut expanded[..n], self.dt);
             }
-            for d in self.devices.iter_mut() {
+            // ZOH in place, back to front so no held value is overwritten
+            // before it is read: each sample held over its `osr` sub-steps.
+            for i in (0..n).rev() {
+                let u = expanded[i];
+                expanded[i * osr..(i + 1) * osr].fill(u);
+            }
+            for d in stateful.iter_mut() {
                 d.step_block(&mut expanded, self.dt);
             }
-            self.steps_taken += (chunk.len() * osr) as u64;
+            self.steps_taken += (n * osr) as u64;
             // The chain output is sampled once per system sample: the
             // last sub-step of each hold interval.
-            for i in 0..chunk.len() {
+            for i in 0..n {
                 self.analog.push(expanded[(i + 1) * osr - 1]);
             }
         }
@@ -341,24 +379,115 @@ mod tests {
         assert_eq!(a.steps_taken(), b.steps_taken());
     }
 
-    #[test]
-    fn chunked_path_bit_identical_to_sample_by_sample() {
-        // Frames straddle COSIM_CHUNK (ragged last chunk) and carry
-        // filter/AGC/decimator state across calls.
-        let x = tone_dbm(2e6, 80e6, -45.0, 5_000);
-        let mut a = CosimReceiver::new(80e6, 4, 4).unwrap();
-        let mut b = CosimReceiver::new(80e6, 4, 4).unwrap();
+    /// Asserts the chunked engine matches the sample-by-sample reference
+    /// bit for bit (and in `steps_taken`) over frames that straddle
+    /// `COSIM_CHUNK` and carry device/AGC/decimator state across calls.
+    fn assert_chunked_matches_reference(netlist: &str, osr: usize, x: &[Complex]) {
+        let mut a = CosimReceiver::from_netlist(netlist, 80e6, osr, 4).unwrap();
+        let mut b = CosimReceiver::from_netlist(netlist, 80e6, osr, 4).unwrap();
         let (mut ya, mut yb) = (Vec::new(), Vec::new());
-        for chunk in x.chunks(1_500) {
-            a.process_into(chunk, &mut ya);
-            b.process_into_sample_by_sample(chunk, &mut yb);
+        for frame in x.chunks(1_500) {
+            a.process_into(frame, &mut ya);
+            b.process_into_sample_by_sample(frame, &mut yb);
             assert_eq!(ya.len(), yb.len());
             for (s, t) in ya.iter().zip(&yb) {
-                assert_eq!(s.re.to_bits(), t.re.to_bits());
-                assert_eq!(s.im.to_bits(), t.im.to_bits());
+                assert_eq!(
+                    (s.re.to_bits(), s.im.to_bits()),
+                    (t.re.to_bits(), t.im.to_bits()),
+                    "osr {osr}, netlist:\n{netlist}"
+                );
             }
         }
         assert_eq!(a.steps_taken(), b.steps_taken());
+        assert_eq!(a.steps_taken(), (x.len() * osr) as u64);
+    }
+
+    #[test]
+    fn chunked_path_bit_identical_to_sample_by_sample() {
+        let x = tone_dbm(2e6, 80e6, -45.0, 5_000);
+        for osr in [4, 8, 64] {
+            assert_chunked_matches_reference(DEFAULT_RECEIVER_NETLIST, osr, &x);
+        }
+    }
+
+    #[test]
+    fn memoryless_prefix_variants_bit_identical() {
+        // (netlist, expected memoryless-prefix length)
+        let cases = [
+            // Filter first: nothing runs at the system rate.
+            (
+                "f hpf rf n1 fc=150k\nm mixer n1 n2 gain=6 dc=-45\nl cheb_lp n2 out edge=10M order=3\n",
+                0,
+            ),
+            // All memoryless: no stateful device at all.
+            ("a amp rf n1 gain=10 p1db=-20\nm mixer n1 out gain=3 dc=-40\n", 2),
+            // The AGC holds state, so it ends the prefix; the mixer after
+            // it runs at the sub-step rate.
+            (
+                "a amp rf n1 gain=10\ng agc n1 n2\nm mixer n2 n3 gain=3\nl cheb_lp n3 out edge=10M\n",
+                1,
+            ),
+            // Rapp amplifier driven deep into saturation by the -20 dBm
+            // tone below (p1db -40 dBm at the input of a 20 dB stage).
+            (
+                "a amp rf n1 gain=20 p1db=-40\nl cheb_lp n1 out edge=8M order=4\n",
+                1,
+            ),
+        ];
+        let mut rng = wlan_dsp::Rng::new(5);
+        let x: Vec<Complex> = tone_dbm(3e6, 80e6, -20.0, 2_600)
+            .into_iter()
+            .map(|s| s + rng.complex_gaussian(1e-4))
+            .collect();
+        for (netlist, prefix) in cases {
+            let rx = CosimReceiver::from_netlist(netlist, 80e6, 8, 4).unwrap();
+            assert_eq!(rx.memoryless_prefix, prefix, "{netlist}");
+            for osr in [1, 8, 64] {
+                assert_chunked_matches_reference(netlist, osr, &x);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_analog_osr_is_a_typed_error() {
+        assert!(matches!(
+            CosimReceiver::new(80e6, 0, 4),
+            Err(NetlistError::InvalidSetting {
+                setting: "analog_osr",
+                ..
+            })
+        ));
+        assert!(matches!(
+            CosimReceiver::new(80e6, MAX_ANALOG_OSR + 1, 4),
+            Err(NetlistError::InvalidSetting {
+                setting: "analog_osr",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn zero_decimation_is_a_typed_error() {
+        assert!(matches!(
+            CosimReceiver::new(80e6, 4, 0),
+            Err(NetlistError::InvalidSetting {
+                setting: "decimation",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn bad_sample_rate_is_a_typed_error() {
+        for fs in [0.0, -80e6, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                CosimReceiver::new(fs, 4, 4),
+                Err(NetlistError::InvalidSetting {
+                    setting: "sample_rate_hz",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -368,21 +497,26 @@ mod tests {
 
     #[test]
     fn cosim_slower_than_baseband() {
-        use std::time::Instant;
+        use std::time::{Duration, Instant};
         let fs = 80e6;
         let x = tone_dbm(1e6, fs, -50.0, 40_000);
         let cfg = RfConfig {
             noise_enabled: false,
             ..RfConfig::default()
         };
-        let mut bb = DoubleConversionReceiver::new(cfg, 1);
-        let t0 = Instant::now();
-        let _ = bb.process(&x);
-        let t_bb = t0.elapsed();
-        let mut cs = CosimReceiver::new(fs, 16, 4).unwrap();
-        let t1 = Instant::now();
-        let _ = cs.process(&x);
-        let t_cs = t1.elapsed();
+        // Each mode's time is the fastest of 3 interleaved repetitions,
+        // so one cold-start or contended run cannot decide the ratio.
+        let (mut t_bb, mut t_cs) = (Duration::MAX, Duration::MAX);
+        for _ in 0..3 {
+            let mut bb = DoubleConversionReceiver::new(cfg, 1);
+            let t0 = Instant::now();
+            let _ = bb.process(&x);
+            t_bb = t_bb.min(t0.elapsed());
+            let mut cs = CosimReceiver::new(fs, 16, 4).unwrap();
+            let t1 = Instant::now();
+            let _ = cs.process(&x);
+            t_cs = t_cs.min(t1.elapsed());
+        }
         let ratio = t_cs.as_secs_f64() / t_bb.as_secs_f64().max(1e-9);
         assert!(ratio > 3.0, "co-sim only {ratio:.1}× slower");
     }

@@ -39,6 +39,15 @@ pub trait AnalogDevice: Send {
 
     /// Resets internal state.
     fn reset(&mut self);
+
+    /// `true` when the device is a pure function of its current input:
+    /// no state and no dependence on `dt`. The co-simulation bridge runs
+    /// a chain's leading memoryless devices once per held system sample
+    /// instead of once per analog sub-step — exact, because a pure
+    /// function of a held input returns the same bits on every sub-step.
+    fn is_memoryless(&self) -> bool {
+        false
+    }
 }
 
 /// Amplifier: gain plus optional compression (memoryless).
@@ -76,6 +85,9 @@ impl AnalogDevice for AnalogAmplifier {
         }
     }
     fn reset(&mut self) {}
+    fn is_memoryless(&self) -> bool {
+        true
+    }
 }
 
 /// Mixer: conversion gain and DC offset (memoryless, noiseless).
@@ -115,6 +127,9 @@ impl AnalogDevice for AnalogMixer {
         }
     }
     fn reset(&mut self) {}
+    fn is_memoryless(&self) -> bool {
+        true
+    }
 }
 
 /// Continuous-time filter device (Chebyshev/Butterworth LP or HP).
@@ -160,6 +175,9 @@ impl AnalogDevice for AnalogFilterDevice {
     }
     fn step(&mut self, u: Complex, dt: f64) -> Complex {
         self.filter.step(u, dt)
+    }
+    fn step_block(&mut self, buf: &mut [Complex], dt: f64) {
+        self.filter.step_block(buf, dt);
     }
     fn reset(&mut self) {
         self.filter.reset();

@@ -1,7 +1,7 @@
 //! Elaboration: netlist → device cascade.
 
 use crate::devices::{AnalogAgc, AnalogAmplifier, AnalogDevice, AnalogFilterDevice, AnalogMixer};
-use crate::netlist::{Netlist, NetlistError};
+use crate::netlist::{Instance, Netlist, NetlistError};
 use wlan_rf::nonlinearity::Nonlinearity;
 use wlan_units::{Db, Dbm, Hz};
 
@@ -16,6 +16,45 @@ hpf1  hpf     n2  n3  fc=150k order=2
 mix2  mixer   n3  n4  gain=6 dc=-45
 lpf1  cheb_lp n4  out order=5 ripple=0.5 edge=10M
 ";
+
+/// Highest filter order `hpf` and `cheb_lp` accept: far above any
+/// practical channel filter, a bound on the sections a hostile netlist
+/// can make the solver allocate, and below the order (between 20 and 24
+/// at a 10 MHz edge) where the Chebyshev section gains overflow to NaN.
+pub const MAX_FILTER_ORDER: usize = 16;
+
+fn invalid(inst: &Instance, param: &str, value: f64, expected: &'static str) -> NetlistError {
+    NetlistError::InvalidParam {
+        instance: inst.name.clone(),
+        param: param.to_string(),
+        value,
+        expected,
+        line: inst.line,
+    }
+}
+
+/// A strictly positive parameter: required when `default` is `None`.
+fn positive_param(inst: &Instance, key: &str, default: Option<f64>) -> Result<f64, NetlistError> {
+    let value = match default {
+        Some(d) => inst.param_or(key, d),
+        None => inst.param(key)?,
+    };
+    if value > 0.0 {
+        Ok(value)
+    } else {
+        Err(invalid(inst, key, value, "a value > 0"))
+    }
+}
+
+/// The filter `order`: an integer in `1..=MAX_FILTER_ORDER`.
+fn order_param(inst: &Instance, default: usize) -> Result<usize, NetlistError> {
+    let value = inst.param_or("order", default as f64);
+    if (1.0..=MAX_FILTER_ORDER as f64).contains(&value) && value.fract() == 0.0 {
+        Ok(value as usize)
+    } else {
+        Err(invalid(inst, "order", value, "an integer from 1 to 16"))
+    }
+}
 
 /// Builds the device cascade for a netlist chain from node `input` to
 /// node `output`.
@@ -32,8 +71,11 @@ lpf1  cheb_lp n4  out order=5 ripple=0.5 edge=10M
 ///
 /// # Errors
 ///
-/// Returns a [`NetlistError`] for unknown models, missing parameters or
-/// a broken chain.
+/// Returns a [`NetlistError`] for unknown models, missing parameters,
+/// out-of-range parameters ([`NetlistError::InvalidParam`]: any
+/// non-finite value, a non-positive `fc`/`edge`/`ripple`/`target`/
+/// `tau`/`loop`, or an `order` that is not an integer in
+/// `1..=`[`MAX_FILTER_ORDER`]) or a broken chain.
 pub fn elaborate(
     netlist: &Netlist,
     input: &str,
@@ -42,6 +84,9 @@ pub fn elaborate(
     let chain = netlist.chain(input, output)?;
     let mut devices: Vec<Box<dyn AnalogDevice>> = Vec::with_capacity(chain.len());
     for inst in chain {
+        if let Some((key, &value)) = inst.params.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(invalid(inst, key, value, "a finite value"));
+        }
         let dev: Box<dyn AnalogDevice> = match inst.model.as_str() {
             "lna" | "amp" => {
                 // Netlist text is the plain-number wire format; wrap the
@@ -62,8 +107,8 @@ pub fn elaborate(
                 Box::new(AnalogMixer::new(inst.name.clone(), gain, dc))
             }
             "hpf" => {
-                let fc = Hz(inst.param("fc")?);
-                let order = inst.param_or("order", 2.0) as usize;
+                let fc = Hz(positive_param(inst, "fc", None)?);
+                let order = order_param(inst, 2)?;
                 Box::new(AnalogFilterDevice::butterworth_highpass(
                     inst.name.clone(),
                     order,
@@ -71,9 +116,9 @@ pub fn elaborate(
                 ))
             }
             "cheb_lp" => {
-                let edge = Hz(inst.param("edge")?);
-                let order = inst.param_or("order", 5.0) as usize;
-                let ripple = Db(inst.param_or("ripple", 0.5));
+                let edge = Hz(positive_param(inst, "edge", None)?);
+                let order = order_param(inst, 5)?;
+                let ripple = Db(positive_param(inst, "ripple", Some(0.5))?);
                 Box::new(AnalogFilterDevice::chebyshev_lowpass(
                     inst.name.clone(),
                     order,
@@ -82,9 +127,9 @@ pub fn elaborate(
                 ))
             }
             "agc" => {
-                let target = inst.param_or("target", 1.0);
-                let tau = inst.param_or("tau", 2e-6);
-                let loop_gain = inst.param_or("loop", 2e5);
+                let target = positive_param(inst, "target", Some(1.0))?;
+                let tau = positive_param(inst, "tau", Some(2e-6))?;
+                let loop_gain = positive_param(inst, "loop", Some(2e5))?;
                 Box::new(AnalogAgc::new(inst.name.clone(), target, tau, loop_gain))
             }
             other => {
@@ -155,6 +200,85 @@ mod tests {
             elaborate(&n, "rf", "out"),
             Err(NetlistError::MissingParam { .. })
         ));
+    }
+
+    /// Elaborates `text` and returns the parameter an
+    /// [`NetlistError::InvalidParam`] names.
+    fn rejected_param(text: &str) -> String {
+        let n = Netlist::parse(text).unwrap();
+        match elaborate(&n, "rf", "out") {
+            Err(NetlistError::InvalidParam { param, .. }) => param,
+            Err(e) => panic!("{text}: expected InvalidParam, got {e}"),
+            Ok(_) => panic!("{text}: elaborated"),
+        }
+    }
+
+    #[test]
+    fn zero_order_rejected() {
+        assert_eq!(
+            rejected_param("f cheb_lp rf out edge=10M order=0\n"),
+            "order"
+        );
+        assert_eq!(rejected_param("f hpf rf out fc=150k order=0\n"), "order");
+    }
+
+    #[test]
+    fn negative_order_rejected() {
+        assert_eq!(rejected_param("f hpf rf out fc=150k order=-2\n"), "order");
+    }
+
+    #[test]
+    fn huge_order_rejected() {
+        assert_eq!(
+            rejected_param("f cheb_lp rf out edge=10M order=1e12\n"),
+            "order"
+        );
+        let over = format!("f hpf rf out fc=150k order={}\n", MAX_FILTER_ORDER + 1);
+        assert_eq!(rejected_param(&over), "order");
+    }
+
+    #[test]
+    fn fractional_order_rejected() {
+        assert_eq!(
+            rejected_param("f cheb_lp rf out edge=10M order=2.5\n"),
+            "order"
+        );
+    }
+
+    #[test]
+    fn negative_edge_rejected() {
+        assert_eq!(rejected_param("f cheb_lp rf out edge=-10M\n"), "edge");
+        assert_eq!(rejected_param("f hpf rf out fc=0\n"), "fc");
+        assert_eq!(
+            rejected_param("f cheb_lp rf out edge=10M ripple=0\n"),
+            "ripple"
+        );
+    }
+
+    #[test]
+    fn zero_agc_tau_rejected() {
+        assert_eq!(rejected_param("g agc rf out tau=0\n"), "tau");
+        assert_eq!(rejected_param("g agc rf out loop=-1\n"), "loop");
+        assert_eq!(rejected_param("g agc rf out target=0\n"), "target");
+    }
+
+    #[test]
+    fn non_finite_value_rejected() {
+        assert_eq!(rejected_param("a amp rf out gain=1e400\n"), "gain");
+        assert_eq!(rejected_param("m mixer rf out gain=3 dc=NaN\n"), "dc");
+    }
+
+    #[test]
+    fn max_filter_order_elaborates() {
+        let text = format!(
+            "f cheb_lp rf n1 edge=10M order={0}\nh hpf n1 out fc=150k order={0}\n",
+            MAX_FILTER_ORDER
+        );
+        let n = Netlist::parse(&text).unwrap();
+        let mut d = elaborate(&n, "rf", "out").expect("elaborates");
+        for dev in d.iter_mut() {
+            assert!(dev.step(Complex::ONE, 1.0 / 640e6).is_finite());
+        }
     }
 
     #[test]

@@ -109,6 +109,30 @@ pub enum NetlistError {
         /// Description of the break.
         detail: String,
     },
+    /// A parameter value lies outside the range its device model accepts
+    /// (non-finite, non-positive corner or time constant, bad order).
+    InvalidParam {
+        /// Instance name.
+        instance: String,
+        /// Parameter key.
+        param: String,
+        /// The rejected value.
+        value: f64,
+        /// The accepted range, in words.
+        expected: &'static str,
+        /// Line number.
+        line: usize,
+    },
+    /// A co-simulation setting (sample rate, analog oversampling,
+    /// decimation) lies outside its accepted range.
+    InvalidSetting {
+        /// Setting name.
+        setting: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// The accepted range, in words.
+        expected: &'static str,
+    },
 }
 
 impl std::fmt::Display for NetlistError {
@@ -135,6 +159,21 @@ impl std::fmt::Display for NetlistError {
                 write!(f, "line {line}: unknown device model '{model}'")
             }
             NetlistError::BrokenChain { detail } => write!(f, "broken signal chain: {detail}"),
+            NetlistError::InvalidParam {
+                instance,
+                param,
+                value,
+                expected,
+                line,
+            } => write!(
+                f,
+                "line {line}: instance '{instance}' parameter {param}={value}: expected {expected}"
+            ),
+            NetlistError::InvalidSetting {
+                setting,
+                value,
+                expected,
+            } => write!(f, "{setting} = {value}: expected {expected}"),
         }
     }
 }

@@ -140,32 +140,45 @@ impl StateSpaceSection {
         self.output(u)
     }
 
-    #[inline]
-    fn derivative(&self, x: [Complex; 2], u: Complex) -> [Complex; 2] {
-        if self.order == 2 {
-            [x[1], u - x[0] * self.alpha[0] - x[1] * self.alpha[1]]
-        } else {
-            [u - x[0] * self.alpha[0], Complex::ZERO]
-        }
-    }
-
     /// Advances the section by `dt` with input `u` held constant (ZOH),
     /// returning the output at the end of the step.
     pub fn step(&mut self, u: Complex, dt: f64) -> Complex {
+        self.step_with(u, dt, dt / 2.0, dt / 6.0)
+    }
+
+    /// [`StateSpaceSection::step`] with the RK4 step fractions
+    /// `h2 = dt/2` and `h6 = dt/6` hoisted by the caller.
+    // Forced inline: as a call, the wavefront loop of
+    // `StateSpaceFilter::step_block` ran the 10 MHz channel filter at
+    // ~46 ns per sub-step instead of ~27.
+    #[inline(always)]
+    fn step_with(&mut self, u: Complex, dt: f64, h2: f64, h6: f64) -> Complex {
         if self.integrator == Integrator::Trapezoidal {
             return self.step_trapezoidal(u, dt);
         }
-        // RK4 with constant input.
-        let x = self.state;
-        let k1 = self.derivative(x, u);
-        let x2 = [x[0] + k1[0] * (dt / 2.0), x[1] + k1[1] * (dt / 2.0)];
-        let k2 = self.derivative(x2, u);
-        let x3 = [x[0] + k2[0] * (dt / 2.0), x[1] + k2[1] * (dt / 2.0)];
-        let k3 = self.derivative(x3, u);
-        let x4 = [x[0] + k3[0] * dt, x[1] + k3[1] * dt];
-        let k4 = self.derivative(x4, u);
-        for i in 0..2 {
-            self.state[i] = x[i] + (k1[i] + k2[i] * 2.0 + k3[i] * 2.0 + k4[i]) * (dt / 6.0);
+        // RK4 with constant input, resolved per order: the derivative is
+        // `[x1, u − α0·x0 − α1·x1]` (order 2) or `[u − α0·x0, 0]` (order
+        // 1, whose second state stays zero).
+        let [a0, a1] = self.alpha;
+        let [x0, x1] = self.state;
+        if self.order == 2 {
+            let k1 = [x1, u - x0 * a0 - x1 * a1];
+            let x2 = [x0 + k1[0] * h2, x1 + k1[1] * h2];
+            let k2 = [x2[1], u - x2[0] * a0 - x2[1] * a1];
+            let x3 = [x0 + k2[0] * h2, x1 + k2[1] * h2];
+            let k3 = [x3[1], u - x3[0] * a0 - x3[1] * a1];
+            let x4 = [x0 + k3[0] * dt, x1 + k3[1] * dt];
+            let k4 = [x4[1], u - x4[0] * a0 - x4[1] * a1];
+            self.state = [
+                x0 + (k1[0] + k2[0] * 2.0 + k3[0] * 2.0 + k4[0]) * h6,
+                x1 + (k1[1] + k2[1] * 2.0 + k3[1] * 2.0 + k4[1]) * h6,
+            ];
+        } else {
+            let k1 = u - x0 * a0;
+            let k2 = u - (x0 + k1 * h2) * a0;
+            let k3 = u - (x0 + k2 * h2) * a0;
+            let k4 = u - (x0 + k3 * dt) * a0;
+            self.state[0] = x0 + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * h6;
         }
         self.output(u)
     }
@@ -220,6 +233,31 @@ impl StateSpaceFilter {
             v = s.step(v, dt);
         }
         v
+    }
+
+    /// Advances the cascade over a block of ZOH inputs in place: `buf[i]`
+    /// becomes the output of the `i`-th [`StateSpaceFilter::step`].
+    ///
+    /// After the gain pass the sections run as a wavefront: at time `t`
+    /// section `k` steps sample `t − k`, whose value section `k − 1`
+    /// produced at time `t − 1`. Every section sees exactly its
+    /// sample-by-sample input sequence (so outputs are bit-identical),
+    /// but the sections' serial RK4 chains are independent within a
+    /// time step and overlap in the pipeline.
+    pub fn step_block(&mut self, buf: &mut [Complex], dt: f64) {
+        for v in buf.iter_mut() {
+            *v *= self.gain;
+        }
+        let (n, depth) = (buf.len(), self.sections.len());
+        let (h2, h6) = (dt / 2.0, dt / 6.0);
+        for t in 0..(n + depth).saturating_sub(1) {
+            let first = (t + 1).saturating_sub(n);
+            let active = &mut self.sections[first..depth.min(t + 1)];
+            for (k, s) in active.iter_mut().enumerate() {
+                let i = t - first - k;
+                buf[i] = s.step_with(buf[i], dt, h2, h6);
+            }
+        }
     }
 
     /// Clears all states.
@@ -365,6 +403,105 @@ mod tests {
             y = ss.step(Complex::ONE, dt);
         }
         assert!((y.re - 1.0).abs() < 1e-6, "dc {}", y.re);
+    }
+
+    /// Deterministic wideband drive: a tone plus Gaussian noise.
+    fn drive(n: usize, seed: u64) -> Vec<Complex> {
+        let mut rng = wlan_dsp::Rng::new(seed);
+        (0..n)
+            .map(|i| Complex::cis(0.37 * i as f64) + rng.complex_gaussian(0.5))
+            .collect()
+    }
+
+    /// RK4 in its generic form, through a `derivative` closure: the
+    /// formulation the order-resolved body in `step_with` must match
+    /// float op for float op.
+    fn rk4_derivative_form(s: &mut StateSpaceSection, u: Complex, dt: f64) -> Complex {
+        let (order, alpha) = (s.order, s.alpha);
+        let derivative = |x: [Complex; 2]| {
+            if order == 2 {
+                [x[1], u - x[0] * alpha[0] - x[1] * alpha[1]]
+            } else {
+                [u - x[0] * alpha[0], Complex::ZERO]
+            }
+        };
+        let x = s.state;
+        let k1 = derivative(x);
+        let x2 = [x[0] + k1[0] * (dt / 2.0), x[1] + k1[1] * (dt / 2.0)];
+        let k2 = derivative(x2);
+        let x3 = [x[0] + k2[0] * (dt / 2.0), x[1] + k2[1] * (dt / 2.0)];
+        let k3 = derivative(x3);
+        let x4 = [x[0] + k3[0] * dt, x[1] + k3[1] * dt];
+        let k4 = derivative(x4);
+        for i in 0..2 {
+            s.state[i] = x[i] + (k1[i] + k2[i] * 2.0 + k3[i] * 2.0 + k4[i]) * (dt / 6.0);
+        }
+        s.output(u)
+    }
+
+    #[test]
+    fn order_resolved_rk4_matches_derivative_form() {
+        let dt = 1.0 / 640e6;
+        let x = drive(4_000, 9);
+        for af in [
+            AnalogFilter::chebyshev1(7, 0.5, FilterKind::Lowpass, 10e6),
+            AnalogFilter::butterworth(3, FilterKind::Highpass, 150e3),
+        ] {
+            for sec in af.sections() {
+                let mut fast = StateSpaceSection::from_analog(sec);
+                let mut generic = fast.clone();
+                for &u in &x {
+                    let (a, b) = (fast.step(u, dt), rk4_derivative_form(&mut generic, u, dt));
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_block_bit_identical_to_per_sample_step() {
+        let mut designs: Vec<AnalogFilter> = (1..=7)
+            .map(|order| AnalogFilter::chebyshev1(order, 0.5, FilterKind::Lowpass, 10e6))
+            .collect();
+        designs.extend(
+            (1..=4).map(|order| AnalogFilter::butterworth(order, FilterKind::Highpass, 150e3)),
+        );
+        let dt = 1.0 / 640e6;
+        for af in &designs {
+            let depth = af.sections().len();
+            for integrator in [Integrator::Rk4, Integrator::Trapezoidal] {
+                // Empty, single, pair, shorter than the wavefront, one
+                // chunk and a ragged length.
+                for len in [0, 1, 2, depth.saturating_sub(1), 1024, 1500] {
+                    let mut block = StateSpaceFilter::from_analog(af);
+                    block.set_integrator(integrator);
+                    let mut scalar = block.clone();
+                    let x = drive(len, len as u64 + 1);
+                    let mut y = x.clone();
+                    // Two calls, so section state carries across blocks.
+                    let (head, tail) = y.split_at_mut(len / 3);
+                    block.step_block(head, dt);
+                    block.step_block(tail, dt);
+                    for (i, (&u, got)) in x.iter().zip(&y).enumerate() {
+                        let want = scalar.step(u, dt);
+                        assert_eq!(
+                            (got.re.to_bits(), got.im.to_bits()),
+                            (want.re.to_bits(), want.im.to_bits()),
+                            "{depth} sections, {integrator:?}, len {len}, sample {i}"
+                        );
+                    }
+                    // Both end in the same state.
+                    let (a, b) = (block.step(Complex::ONE, dt), scalar.step(Complex::ONE, dt));
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Table 2 experiment as a micro-benchmark: one packet through
 //! the link at each abstraction level. The ratio between the
-//! `rf_cosim` and `rf_baseband` times is the paper's headline 30–40×
-//! (exact value host-dependent).
+//! `rf_cosim` and `rf_baseband` times is the paper's headline ratio
+//! (30–40× there; the value here is host- and osr-dependent).
 
 use std::hint::black_box;
 use wlan_bench::harness::Harness;

@@ -183,8 +183,8 @@ fn run_mode_parallel(
 
 /// Runs the comparison for the given packet counts.
 ///
-/// `analog_osr` sets the co-simulation's sub-step count (the paper's
-/// ratio regime is reached around 16–32).
+/// `analog_osr` sets the co-simulation's sub-step count, the cost
+/// driver of the ratio (EXPERIMENTS.md records the measured ratios).
 pub fn run(packet_counts: &[usize], psdu_len: usize, analog_osr: usize, seed: u64) -> Table2Result {
     let rows = packet_counts
         .iter()
@@ -260,9 +260,24 @@ pub fn run_parallel(
 mod tests {
     use super::*;
 
+    /// Runs the comparison 3 times and keeps, per row and per mode, the
+    /// fastest time. Every run times baseband then co-sim, so the
+    /// repetitions interleave and one cold-start or contended run cannot
+    /// decide a wall-clock assertion.
+    fn fastest_of_3(run: impl Fn() -> Table2Result) -> Table2Result {
+        let mut best = run();
+        for _ in 1..3 {
+            for (b, r) in best.rows.iter_mut().zip(run().rows) {
+                b.baseband = b.baseband.min(r.baseband);
+                b.cosim = b.cosim.min(r.cosim);
+            }
+        }
+        best
+    }
+
     #[test]
     fn cosim_is_much_slower() {
-        let r = run(&[1], 60, 16, 1);
+        let r = fastest_of_3(|| run(&[1], 60, 16, 1));
         assert_eq!(r.rows.len(), 1);
         let ratio = r.rows[0].ratio();
         assert!(ratio > 3.0, "co-sim only {ratio:.1}x slower");
@@ -270,7 +285,7 @@ mod tests {
 
     #[test]
     fn time_grows_with_packets() {
-        let r = run(&[1, 3], 60, 4, 2);
+        let r = fastest_of_3(|| run(&[1, 3], 60, 4, 2));
         assert!(r.rows[1].cosim > r.rows[0].cosim);
         assert!(r.table().render().contains("Table 2"));
     }
@@ -302,7 +317,8 @@ mod tests {
 
     #[test]
     fn parallel_rows_match_structure() {
-        let r = run_parallel(&[1, 2], 60, 4, 2, &Engine::with_threads(2));
+        let engine = Engine::with_threads(2);
+        let r = fastest_of_3(|| run_parallel(&[1, 2], 60, 4, 2, &engine));
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.analog_osr, 4);
         assert_eq!(r.rows[0].packets, 1);

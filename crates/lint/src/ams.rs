@@ -19,6 +19,7 @@
 //! | AMS102 | warning  | implausible compression point (p1db ≥ iip3) |
 
 use crate::Diagnostic;
+use wlan_ams::elaborate::MAX_FILTER_ORDER;
 use wlan_ams::netlist::{Instance, Netlist};
 
 /// Per-model parameter schema: `(model, required, optional)`.
@@ -111,13 +112,16 @@ fn lint_instance(target: &str, inst: &Instance, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-        if key == "order" && (value < 1.0 || value.fract() != 0.0) {
+        if key == "order"
+            && (value < 1.0 || value > MAX_FILTER_ORDER as f64 || value.fract() != 0.0)
+        {
             out.push(Diagnostic::error(
                 "AMS004",
                 target,
                 &inst.name,
                 format!(
-                    "non-physical order={value}: must be a positive integer (line {})",
+                    "non-physical order={value}: must be an integer from 1 to \
+                     {MAX_FILTER_ORDER} (line {})",
                     inst.line
                 ),
             ));
@@ -338,6 +342,18 @@ mod tests {
         assert!(nonphys.iter().any(|d| d.message.contains("fc")));
         assert!(nonphys.iter().any(|d| d.message.contains("order")));
         assert!(nonphys.iter().any(|d| d.message.contains("ripple")));
+    }
+
+    #[test]
+    fn order_above_elaboration_limit_rejected() {
+        let text = format!("f cheb_lp rf out edge=10M order={}\n", MAX_FILTER_ORDER + 1);
+        let findings = lint_netlist("bigorder", &text, "rf", "out");
+        assert!(
+            findings
+                .iter()
+                .any(|d| d.code == "AMS004" && d.message.contains("order")),
+            "{findings:?}"
+        );
     }
 
     #[test]
