@@ -31,8 +31,10 @@ use wlan_sim::link::{FrontEnd, LinkConfig, LinkSimulation};
 /// the `packets_per_s` key remains the 802.11a figure the baseline
 /// gate compares); schema 4 adds the co-simulation analog engine
 /// (`cosim_*`: chunked `process_into` against the sample-by-sample
-/// reference at osr 8).
-const KERNEL_JSON_SCHEMA: u32 = 4;
+/// reference at osr 8); schema 5 drops the Viterbi and FFT batch
+/// entries (`viterbi_batch_*`, `fft64_batch_*`) with the kernels they
+/// timed, leaving the RF chain as the only batch-plane kernel.
+const KERNEL_JSON_SCHEMA: u32 = 5;
 
 /// Single-thread link throughput of the pre-optimization tree
 /// (commit `6c17661`), measured with the exact workload of
@@ -277,106 +279,6 @@ fn main() {
     });
     g.finish();
 
-    // FFT: a bin-major 64×lanes plane through `forward64_batch`,
-    // against the scalar 64-point kernel looping over the lanes.
-    let fft_lanes = 16usize;
-    let mut rng = Rng::new(65);
-    let lane_inputs: Vec<Vec<Complex>> = (0..fft_lanes)
-        .map(|_| (0..64).map(|_| rng.complex_gaussian(1.0)).collect())
-        .collect();
-    let mut fplane = vec![Complex::ZERO; 64 * fft_lanes];
-    for (l, lane) in lane_inputs.iter().enumerate() {
-        for (k, &v) in lane.iter().enumerate() {
-            fplane[k * fft_lanes + l] = v;
-        }
-    }
-    let mut fwork = fplane.clone();
-    fft.forward64_batch(&mut fwork, fft_lanes);
-    let mut fft_batch_ok = true;
-    for (l, lane) in lane_inputs.iter().enumerate() {
-        let mut s = lane.clone();
-        fft.forward(&mut s);
-        for (k, &v) in s.iter().enumerate() {
-            fft_batch_ok &= fwork[k * fft_lanes + l] == v;
-        }
-    }
-    fft.inverse64_batch(&mut fwork, fft_lanes);
-    for (l, lane) in lane_inputs.iter().enumerate() {
-        let mut s = lane.clone();
-        fft.forward(&mut s);
-        fft.inverse(&mut s);
-        for (k, &v) in s.iter().enumerate() {
-            fft_batch_ok &= fwork[k * fft_lanes + l] == v;
-        }
-    }
-    identical &= fft_batch_ok;
-
-    let mut g = h.benchmark_group("fft64_batch");
-    g.throughput(Throughput::Elements((64 * fft_lanes) as u64));
-    let fft_batch_opt_s = g.bench_function("forward64_batch", |b| {
-        b.iter(|| {
-            fwork.copy_from_slice(&fplane);
-            fft.forward64_batch(&mut fwork, fft_lanes);
-            fwork[0]
-        })
-    });
-    let fft_batch_ref_s = g.bench_function("forward_per_lane", |b| {
-        b.iter(|| {
-            let mut acc = Complex::ZERO;
-            for lane in &lane_inputs {
-                buf.copy_from_slice(lane);
-                fft.forward(&mut buf);
-                acc += buf[0];
-            }
-            acc
-        })
-    });
-    g.finish();
-
-    // Viterbi: equal-length codewords decoded in lockstep from a
-    // step-major LLR plane, against the scalar decoder per lane.
-    let vit_lanes = 8usize;
-    let lane_llrs: Vec<Vec<Llr>> = (0..vit_lanes)
-        .map(|l| viterbi_workload(vit_bits, 100 + l as u64))
-        .collect();
-    let n_steps = lane_llrs[0].len() / 2;
-    let mut vplane = vec![0.0f64; 2 * n_steps * vit_lanes];
-    for t in 0..n_steps {
-        for (l, lane) in lane_llrs.iter().enumerate() {
-            vplane[t * 2 * vit_lanes + l] = lane[2 * t];
-            vplane[t * 2 * vit_lanes + vit_lanes + l] = lane[2 * t + 1];
-        }
-    }
-    let mut batch_bits = Vec::new();
-    dec.reserve_batch(n_steps, vit_lanes);
-    dec.decode_soft_batch(&vplane, vit_lanes, &mut batch_bits);
-    let mut vit_batch_ok = batch_bits.len() == n_steps * vit_lanes;
-    for (l, lane) in lane_llrs.iter().enumerate() {
-        dec.decode_soft_into(lane, &mut bits);
-        vit_batch_ok &= batch_bits[l * n_steps..(l + 1) * n_steps] == bits[..];
-    }
-    identical &= vit_batch_ok;
-
-    let mut g = h.benchmark_group("viterbi_batch");
-    g.throughput(Throughput::Elements((n_steps * vit_lanes) as u64));
-    let vit_batch_opt_s = g.bench_function("decode_soft_batch", |b| {
-        b.iter(|| {
-            dec.decode_soft_batch(&vplane, vit_lanes, &mut batch_bits);
-            batch_bits.len()
-        })
-    });
-    let vit_batch_ref_s = g.bench_function("decode_per_lane", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            for lane in &lane_llrs {
-                dec.decode_soft_into(lane, &mut bits);
-                n += bits.len();
-            }
-            n
-        })
-    });
-    g.finish();
-
     // --- End-to-end link throughput (single thread). ---
     let sim = LinkSimulation::new(link_workload(link_packets, &wlan_phy::IEEE_802_11A));
     let first = sim.run();
@@ -425,8 +327,6 @@ fn main() {
     let vit_speedup = vit_ref_s / vit_opt_s.max(1e-12);
     let fft_speedup = fft_ref_s / fft_opt_s.max(1e-12);
     let rf_speedup = rf_ref_s / rf_opt_s.max(1e-12);
-    let vit_batch_speedup = vit_batch_ref_s / vit_batch_opt_s.max(1e-12);
-    let fft_batch_speedup = fft_batch_ref_s / fft_batch_opt_s.max(1e-12);
     let rf_batch_speedup = rf_batch_ref_s / rf_batch_opt_s.max(1e-12);
     let cosim_speedup = cosim_ref_s / cosim_opt_s.max(1e-12);
     println!("viterbi  {vit_speedup:.2}x vs reference, bit-identical: {vit_ok}");
@@ -435,14 +335,6 @@ fn main() {
     println!(
         "cosim    {cosim_speedup:.2}x (osr {cosim_osr}) vs sample-by-sample, \
          bit-identical: {cosim_ok}"
-    );
-    println!(
-        "viterbi_batch  {vit_batch_speedup:.2}x ({vit_lanes} lanes) vs scalar, \
-         bit-identical: {vit_batch_ok}"
-    );
-    println!(
-        "fft64_batch    {fft_batch_speedup:.2}x ({fft_lanes} lanes) vs scalar, \
-         bit-identical: {fft_batch_ok}"
     );
     println!(
         "rf_chain_batch {rf_batch_speedup:.2}x ({batch_segments_n} segments) vs staged, \
@@ -478,14 +370,6 @@ fn main() {
          \"cosim_opt_ns\": {:.1},\n    \"cosim_ref_ns\": {:.1},\n    \
          \"cosim_speedup\": {cosim_speedup:.4},\n    \
          \"cosim_identical\": {cosim_ok},\n    \
-         \"viterbi_batch_lanes\": {vit_lanes},\n    \
-         \"viterbi_batch_opt_ns\": {:.1},\n    \"viterbi_batch_ref_ns\": {:.1},\n    \
-         \"viterbi_batch_speedup\": {vit_batch_speedup:.4},\n    \
-         \"viterbi_batch_identical\": {vit_batch_ok},\n    \
-         \"fft64_batch_lanes\": {fft_lanes},\n    \
-         \"fft64_batch_opt_ns\": {:.1},\n    \"fft64_batch_ref_ns\": {:.1},\n    \
-         \"fft64_batch_speedup\": {fft_batch_speedup:.4},\n    \
-         \"fft64_batch_identical\": {fft_batch_ok},\n    \
          \"rf_chain_batch_segments\": {batch_segments_n},\n    \
          \"rf_chain_batch_opt_ns\": {:.1},\n    \"rf_chain_batch_ref_ns\": {:.1},\n    \
          \"rf_chain_batch_speedup\": {rf_batch_speedup:.4},\n    \
@@ -505,10 +389,6 @@ fn main() {
         rf_ref_s * 1e9,
         cosim_opt_s * 1e9,
         cosim_ref_s * 1e9,
-        vit_batch_opt_s * 1e9,
-        vit_batch_ref_s * 1e9,
-        fft_batch_opt_s * 1e9,
-        fft_batch_ref_s * 1e9,
         rf_batch_opt_s * 1e9,
         rf_batch_ref_s * 1e9,
     );

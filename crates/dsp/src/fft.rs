@@ -238,57 +238,6 @@ impl Fft {
             *v = v.scale(k);
         }
     }
-
-    /// Forward 64-point transforms of `lanes` signals at once over a
-    /// lane-major SoA plane: `plane[i * lanes + l]` holds sample `i` of
-    /// lane `l`, so each butterfly touches `lanes` contiguous values and
-    /// the inner loops autovectorize across packets. Per lane the
-    /// butterfly sequence is exactly [`Fft::forward`]'s specialized
-    /// 64-point kernel, so every lane's output compares equal to
-    /// transforming it alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plan is 64-point, `lanes > 0`, and
-    /// `plane.len() == 64 * lanes`.
-    pub fn forward64_batch(&self, plane: &mut [Complex], lanes: usize) {
-        let t = self
-            .fast64
-            .as_ref()
-            .expect("forward64_batch requires a 64-point plan");
-        assert!(lanes > 0, "lanes must be positive");
-        assert_eq!(
-            plane.len(),
-            64 * lanes,
-            "plane must hold 64 rows of `lanes`"
-        );
-        dit64_batch(plane, lanes, &t.fwd);
-    }
-
-    /// Inverse counterpart of [`Fft::forward64_batch`], including the
-    /// `1/N` scaling of [`Fft::inverse`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plan is 64-point, `lanes > 0`, and
-    /// `plane.len() == 64 * lanes`.
-    pub fn inverse64_batch(&self, plane: &mut [Complex], lanes: usize) {
-        let t = self
-            .fast64
-            .as_ref()
-            .expect("inverse64_batch requires a 64-point plan");
-        assert!(lanes > 0, "lanes must be positive");
-        assert_eq!(
-            plane.len(),
-            64 * lanes,
-            "plane must hold 64 rows of `lanes`"
-        );
-        dit64_batch(plane, lanes, &t.inv);
-        let k = 1.0 / 64.0;
-        for v in plane.iter_mut() {
-            *v = v.scale(k);
-        }
-    }
 }
 
 /// The specialized 64-point decimation-in-time kernel: precomputed
@@ -343,71 +292,6 @@ fn stage64<const LEN: usize>(x: &mut [Complex; 64], tw: &[Complex]) {
             *t = a + b;
             *u = a - b;
         }
-    }
-}
-
-/// The lane-major batch form of [`dit64`]: each scalar access `x[p]`
-/// becomes the row `plane[p*lanes .. (p+1)*lanes]` and each butterfly
-/// runs across the row — a long, stride-free loop over independent
-/// lanes. The per-lane operation order (swaps, add/sub stages, twiddle
-/// multiplies) is exactly [`dit64`]'s, so each lane's result compares
-/// equal to the scalar kernel.
-fn dit64_batch(plane: &mut [Complex], lanes: usize, tw: &[Complex; 63]) {
-    debug_assert_eq!(plane.len(), 64 * lanes);
-    // Two disjoint exact-length rows of the plane; the borrow split
-    // lets the compiler drop the bounds checks so every butterfly loop
-    // vectorizes across lanes.
-    fn rows(
-        plane: &mut [Complex],
-        top: usize,
-        bot: usize,
-        lanes: usize,
-    ) -> (&mut [Complex], &mut [Complex]) {
-        let (head, tail) = plane.split_at_mut(bot);
-        (&mut head[top..top + lanes], &mut tail[..lanes])
-    }
-    for &(i, j) in BITREV64_SWAPS.iter() {
-        let (t_row, b_row) = rows(plane, i as usize * lanes, j as usize * lanes, lanes);
-        t_row.swap_with_slice(b_row);
-    }
-    // Stage len = 2: every twiddle is unity.
-    for p in (0..64).step_by(2) {
-        let row = p * lanes;
-        let (t_row, b_row) = rows(plane, row, row + lanes, lanes);
-        for (a, b) in t_row.iter_mut().zip(b_row.iter_mut()) {
-            let (x, y) = (*a, *b);
-            *a = x + y;
-            *b = x - y;
-        }
-    }
-    let mut len = 4;
-    let mut off = 1;
-    while len <= 64 {
-        let half = len / 2;
-        for start in (0..64).step_by(len) {
-            let (t_row, b_row) = rows(plane, start * lanes, (start + half) * lanes, lanes);
-            for (a, b) in t_row.iter_mut().zip(b_row.iter_mut()) {
-                let (x, y) = (*a, *b);
-                *a = x + y;
-                *b = x - y;
-            }
-            for k in 1..half {
-                let w = tw[off + k];
-                let (t_row, b_row) = rows(
-                    plane,
-                    (start + k) * lanes,
-                    (start + k + half) * lanes,
-                    lanes,
-                );
-                for (a, b) in t_row.iter_mut().zip(b_row.iter_mut()) {
-                    let (x, y) = (*a, *b * w);
-                    *a = x + y;
-                    *b = x - y;
-                }
-            }
-        }
-        off += half;
-        len *= 2;
     }
 }
 
@@ -606,41 +490,6 @@ mod tests {
         fft.inverse(&mut fast);
         fft.inverse_radix2(&mut generic);
         assert_eq!(fast, generic);
-    }
-
-    #[test]
-    fn batch64_equals_scalar_per_lane() {
-        // Lane-major batch kernel vs transforming each lane alone — exact
-        // equality, for lane counts including 1 and non-powers of two.
-        let fft = Fft::new(64);
-        for lanes in [1usize, 2, 3, 7, 16] {
-            let per_lane: Vec<Vec<Complex>> = (0..lanes)
-                .map(|l| rand_signal(64, 1000 + l as u64))
-                .collect();
-            let mut plane = vec![Complex::ZERO; 64 * lanes];
-            for (l, x) in per_lane.iter().enumerate() {
-                for (i, &v) in x.iter().enumerate() {
-                    plane[i * lanes + l] = v;
-                }
-            }
-            let mut inv_plane = plane.clone();
-            fft.forward64_batch(&mut plane, lanes);
-            fft.inverse64_batch(&mut inv_plane, lanes);
-            for (l, x) in per_lane.iter().enumerate() {
-                let mut fwd = x.clone();
-                let mut inv = x.clone();
-                fft.forward(&mut fwd);
-                fft.inverse(&mut inv);
-                for i in 0..64 {
-                    assert_eq!(plane[i * lanes + l], fwd[i], "fwd lanes {lanes} lane {l}");
-                    assert_eq!(
-                        inv_plane[i * lanes + l],
-                        inv[i],
-                        "inv lanes {lanes} lane {l}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

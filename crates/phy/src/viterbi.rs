@@ -7,19 +7,22 @@
 //! The kernel is organized as a reusable [`ViterbiDecoder`] holding
 //! fixed-size `[f64; 64]` metric arrays and a growable decision buffer,
 //! so the per-packet hot path performs no heap allocation after the
-//! first call. The add-compare-select loop runs in butterfly form over
-//! next-states (each state has exactly two predecessors, `ns >> 1` and
-//! `(ns >> 1) | 32`), with the per-branch LLR signs precomputed into a
-//! table at construction. The classic `INF` sentinel for unreachable
-//! states is only needed during the first six warm-up steps — after
-//! `t ≥ 6` trellis steps every state is reachable (the state is the
-//! last six input bits), so the steady-state loop carries no sentinel
-//! scan at all.
+//! first call. The classic `INF` sentinel for unreachable states is only
+//! needed during the first six warm-up steps — after `t ≥ 6` trellis
+//! steps every state is reachable (the state is the last six input
+//! bits), so the steady-state loop carries no sentinel scan at all.
 //!
-//! The decision arithmetic — `(metric + (±la)) + (±lb)` with the
-//! lower-numbered predecessor winning ties — is kept exactly as the
-//! original full-search formulation, so decoded bits are bit-identical
-//! to the reference implementation in `wlan-conformance::refimpl`.
+//! The steady-state add-compare-select runs as 32 split-half
+//! butterflies: predecessors `i` and `i | 32` both feed next-states
+//! `2i` and `2i + 1`. Both generators tap the newest and the oldest
+//! register bit, so flipping either one complements both code bits:
+//! with `u = su[i]·la` and `v = sv[i]·lb` the signs of the `i → 2i`
+//! branch, the four branch costs are `(m_i + u) + v`,
+//! `(m_{i|32} − u) − v`, `(m_i − u) − v` and `(m_{i|32} + u) + v`.
+//! Multiplying by `±1` is exact and `x + (−y)` is `x − y` in IEEE 754,
+//! so every cost — and with the lower predecessor winning ties, every
+//! decision — is bit-identical to the reference full search in
+//! `wlan-conformance::refimpl`.
 
 use crate::convolutional::{branch_output, N_STATES};
 
@@ -27,6 +30,9 @@ use crate::convolutional::{branch_output, N_STATES};
 /// (`llr ∝ log P(b=0) − log P(b=1)`). Punctured positions use `0.0`
 /// (erasure).
 pub type Llr = f64;
+
+/// Butterflies per trellis step: predecessor pairs `(i, i | 32)`.
+const HALF: usize = N_STATES / 2;
 
 /// Sentinel for unreachable states during trellis warm-up.
 const INF: f64 = 1e300;
@@ -39,7 +45,7 @@ const NORM_LIMIT: f64 = 1e280;
 
 /// Reusable soft-decision Viterbi decoder.
 ///
-/// Construction precomputes the branch-metric sign table; each call to
+/// Construction precomputes the branch-metric signs; each call to
 /// [`ViterbiDecoder::decode_soft_into`] then reuses the internal metric
 /// arrays and decision buffer, allocating only when a longer packet
 /// than any seen before grows the decision buffer.
@@ -59,21 +65,19 @@ const NORM_LIMIT: f64 = 1e280;
 pub struct ViterbiDecoder {
     metric: [f64; N_STATES],
     next: [f64; N_STATES],
-    /// Per next-state branch LLR signs `[sa1, sb1, sa2, sb2]` for the
-    /// two predecessors `ns >> 1` and `(ns >> 1) | 32`: the branch cost
-    /// is `(m + sa·la) + sb·lb` with `s = ±1`.
-    signs: [[f64; 4]; N_STATES],
-    /// `decisions[t]` bit `s`: the evicted (oldest) history bit of the
-    /// surviving predecessor of state `s` at step `t`.
+    /// `±1` signs of the `i → 2i` branch's A and B outputs for each
+    /// predecessor `i < 32`: that branch costs `(m_i + su[i]·la) +
+    /// sv[i]·lb`, and the other three branches of the butterfly carry
+    /// the same or the complemented signs (see the module docs).
+    su: [f64; HALF],
+    sv: [f64; HALF],
+    /// `decisions[t]` holds, for each state `s` at step `t`, the evicted
+    /// (oldest) history bit of its surviving predecessor, at bit
+    /// `(s >> 1) + 32·(s & 1)`: even states in the low word, odd states
+    /// in the high word.
     decisions: Vec<u64>,
     /// Scratch LLRs for [`ViterbiDecoder::decode_hard_into`].
     hard_llrs: Vec<Llr>,
-    /// Lane-major path metrics (`[state][lane]`) for
-    /// [`ViterbiDecoder::decode_soft_batch`].
-    batch_metric: Vec<f64>,
-    batch_next: Vec<f64>,
-    /// Lane-major decision bitmasks (`[step][lane]`).
-    batch_decisions: Vec<u64>,
 }
 
 impl Default for ViterbiDecoder {
@@ -83,25 +87,23 @@ impl Default for ViterbiDecoder {
 }
 
 impl ViterbiDecoder {
-    /// Creates a decoder (precomputes the branch sign table).
+    /// Creates a decoder (precomputes the branch signs).
     pub fn new() -> Self {
-        let mut signs = [[0.0f64; 4]; N_STATES];
         let sign = |bit: u8| if bit == 1 { 1.0 } else { -1.0 };
-        for (ns, s) in signs.iter_mut().enumerate() {
-            let input = (ns & 1) as u8;
-            let (a1, b1) = branch_output((ns >> 1) as u32, input);
-            let (a2, b2) = branch_output((ns >> 1) as u32 | 32, input);
-            *s = [sign(a1), sign(b1), sign(a2), sign(b2)];
+        let mut su = [0.0f64; HALF];
+        let mut sv = [0.0f64; HALF];
+        for i in 0..HALF {
+            let (a, b) = branch_output(i as u32, 0);
+            su[i] = sign(a);
+            sv[i] = sign(b);
         }
         ViterbiDecoder {
             metric: [INF; N_STATES],
             next: [INF; N_STATES],
-            signs,
+            su,
+            sv,
             decisions: Vec::new(),
             hard_llrs: Vec::new(),
-            batch_metric: Vec::new(),
-            batch_next: Vec::new(),
-            batch_decisions: Vec::new(),
         }
     }
 
@@ -110,15 +112,6 @@ impl ViterbiDecoder {
     pub fn reserve_steps(&mut self, n_steps: usize) {
         self.decisions.reserve(n_steps);
         self.hard_llrs.reserve(2 * n_steps);
-    }
-
-    /// Pre-reserves the lane-major buffers so
-    /// [`ViterbiDecoder::decode_soft_batch`] calls up to `n_steps` steps
-    /// over `lanes` lanes perform no heap allocation.
-    pub fn reserve_batch(&mut self, n_steps: usize, lanes: usize) {
-        self.batch_metric.reserve(N_STATES * lanes);
-        self.batch_next.reserve(N_STATES * lanes);
-        self.batch_decisions.reserve(n_steps * lanes);
     }
 
     /// Decodes a tail-terminated message from soft inputs into `bits`
@@ -148,37 +141,47 @@ impl ViterbiDecoder {
         self.decisions.reserve(n_steps);
         self.metric[0] = 0.0;
 
-        for (t, pair) in llrs.chunks_exact(2).enumerate() {
-            let (la, lb) = (pair[0], pair[1]);
-            if t < 6 {
-                // Warm-up: only states 0..2^t are reachable (the state
-                // is the last six input bits), and both predecessors of
-                // a reachable next-state have their evicted bit 0, so
-                // the survivor is always the lower one.
-                self.next.fill(INF);
-                for ns in 0..(1usize << (t + 1)).min(N_STATES) {
-                    let s = &self.signs[ns];
-                    self.next[ns] = (self.metric[ns >> 1] + s[0] * la) + s[1] * lb;
-                }
-                self.decisions.push(0);
-            } else {
-                let mut dec: u64 = 0;
-                for ns in 0..N_STATES {
-                    let s = &self.signs[ns];
-                    let c1 = (self.metric[ns >> 1] + s[0] * la) + s[1] * lb;
-                    let c2 = (self.metric[(ns >> 1) | 32] + s[2] * la) + s[3] * lb;
-                    // Strict `<`: ties keep the lower predecessor,
-                    // matching ascending-order full search.
-                    let take2 = c2 < c1;
-                    self.next[ns] = if take2 { c2 } else { c1 };
-                    dec |= (take2 as u64) << ns;
-                }
-                self.decisions.push(dec);
+        // Warm-up: only states 0..2^(t+1) are reachable after step t
+        // (the state is the last six input bits), and both predecessors
+        // of a reachable next-state have their evicted bit 0, so the
+        // survivor is always the lower one.
+        let warm = n_steps.min(6);
+        for (t, pair) in llrs[..2 * warm].chunks_exact(2).enumerate() {
+            self.next.fill(INF);
+            for ns in 0..1usize << (t + 1) {
+                let (u, v) = (self.su[ns >> 1] * pair[0], self.sv[ns >> 1] * pair[1]);
+                let m = self.metric[ns >> 1];
+                self.next[ns] = if ns & 1 == 0 {
+                    (m + u) + v
+                } else {
+                    (m - u) - v
+                };
             }
+            self.decisions.push(0);
             std::mem::swap(&mut self.metric, &mut self.next);
-            if t % 4096 == 4095 {
-                self.renormalize_if_needed();
+        }
+
+        // Steady state: two steps per iteration, the metric arrays
+        // ping-ponging so no step copies them.
+        let (metric, next) = (&mut self.metric, &mut self.next);
+        let mut quads = llrs[2 * warm..].chunks_exact(4);
+        let mut t = warm;
+        for q in &mut quads {
+            self.decisions
+                .push(acs_step(metric, next, &self.su, &self.sv, q[0], q[1]));
+            self.decisions
+                .push(acs_step(next, metric, &self.su, &self.sv, q[2], q[3]));
+            // `t` is even, so the renormalization steps (`4095 mod
+            // 4096`) always land on the second step of a pair.
+            if (t + 1) % 4096 == 4095 {
+                renormalize_if_needed(metric);
             }
+            t += 2;
+        }
+        if let [la, lb] = *quads.remainder() {
+            self.decisions
+                .push(acs_step(metric, next, &self.su, &self.sv, la, lb));
+            std::mem::swap(metric, next);
         }
 
         // Traceback from the maximum-likelihood end state (first state
@@ -194,126 +197,8 @@ impl ViterbiDecoder {
         bits.resize(n_steps, 0);
         for t in (0..n_steps).rev() {
             bits[t] = (state & 1) as u8; // the input that created this state
-            let evicted = (self.decisions[t] >> state) & 1;
+            let evicted = (self.decisions[t] >> ((state >> 1) + HALF * (state & 1))) & 1;
             state = (state >> 1) | ((evicted as usize) << 5);
-        }
-    }
-
-    /// Decodes `lanes` equal-length tail-terminated messages in lockstep
-    /// from a lane-major LLR plane — the add-compare-select inner loop
-    /// runs across lanes for each trellis transition, so it
-    /// autovectorizes over packets instead of walking one trellis at a
-    /// time.
-    ///
-    /// `llr_plane` is step-major with lane-contiguous rows: step `t`
-    /// occupies `llr_plane[t·2·lanes .. (t+1)·2·lanes]`, the first
-    /// `lanes` values holding every lane's output-A LLR and the next
-    /// `lanes` holding output B. `bits` is refilled with each lane's
-    /// decoded bits back to back (lane `l` occupies
-    /// `bits[l·n_steps .. (l+1)·n_steps]`).
-    ///
-    /// Each lane performs exactly the adds and strict-`<` compares of
-    /// [`ViterbiDecoder::decode_soft_into`] on its own values, so every
-    /// decoded bit is identical to decoding that lane alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or `llr_plane.len()` is not a multiple
-    /// of `2 * lanes`.
-    pub fn decode_soft_batch(&mut self, llr_plane: &[Llr], lanes: usize, bits: &mut Vec<u8>) {
-        assert!(lanes > 0, "lanes must be positive");
-        assert!(
-            llr_plane.len().is_multiple_of(2 * lanes),
-            "need two LLRs per trellis step per lane"
-        );
-        let n_steps = llr_plane.len() / (2 * lanes);
-        bits.clear();
-        if n_steps == 0 {
-            return;
-        }
-
-        let metric = &mut self.batch_metric;
-        let next = &mut self.batch_next;
-        metric.clear();
-        metric.resize(N_STATES * lanes, INF);
-        next.clear();
-        next.resize(N_STATES * lanes, INF);
-        metric[..lanes].fill(0.0);
-        self.batch_decisions.clear();
-        self.batch_decisions.resize(n_steps * lanes, 0);
-
-        for (t, step) in llr_plane.chunks_exact(2 * lanes).enumerate() {
-            let (la, lb) = step.split_at(lanes);
-            if t < 6 {
-                // Warm-up: only states 0..2^t are reachable and both
-                // predecessors of a reachable next-state have their
-                // evicted bit 0 (see `decode_soft_into`); the decision
-                // row keeps its zero fill.
-                next.fill(INF);
-                for ns in 0..(1usize << (t + 1)).min(N_STATES) {
-                    let s = &self.signs[ns];
-                    let pred = (ns >> 1) * lanes;
-                    let row = ns * lanes;
-                    for l in 0..lanes {
-                        next[row + l] = (metric[pred + l] + s[0] * la[l]) + s[1] * lb[l];
-                    }
-                }
-            } else {
-                let dec_row = &mut self.batch_decisions[t * lanes..(t + 1) * lanes];
-                for ns in 0..N_STATES {
-                    let s = &self.signs[ns];
-                    // Exact-length lane rows so the compiler drops the
-                    // bounds checks and vectorizes across lanes.
-                    let m1 = &metric[(ns >> 1) * lanes..][..lanes];
-                    let m2 = &metric[((ns >> 1) | 32) * lanes..][..lanes];
-                    let row = &mut next[ns * lanes..][..lanes];
-                    let bit = 1u64 << ns;
-                    for l in 0..lanes {
-                        let c1 = (m1[l] + s[0] * la[l]) + s[1] * lb[l];
-                        let c2 = (m2[l] + s[2] * la[l]) + s[3] * lb[l];
-                        // Strict `<`: ties keep the lower predecessor.
-                        let take2 = c2 < c1;
-                        row[l] = if take2 { c2 } else { c1 };
-                        dec_row[l] |= (take2 as u64) * bit;
-                    }
-                }
-            }
-            std::mem::swap(metric, next);
-            if t % 4096 == 4095 {
-                // Per-lane renormalization, the lane-local image of
-                // `renormalize_if_needed`.
-                for l in 0..lanes {
-                    let mut min = f64::INFINITY;
-                    for st in 0..N_STATES {
-                        min = min.min(metric[st * lanes + l]);
-                    }
-                    if min.abs() > NORM_LIMIT && min.is_finite() {
-                        for st in 0..N_STATES {
-                            metric[st * lanes + l] -= min;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Per-lane traceback from the maximum-likelihood end state
-        // (first state wins ties, as in a forward minimum scan).
-        bits.resize(n_steps * lanes, 0);
-        for l in 0..lanes {
-            let mut state = 0usize;
-            let mut best = metric[l];
-            for (st, row) in metric.chunks_exact(lanes).enumerate().skip(1) {
-                if row[l] < best {
-                    best = row[l];
-                    state = st;
-                }
-            }
-            let lane_bits = &mut bits[l * n_steps..(l + 1) * n_steps];
-            for t in (0..n_steps).rev() {
-                lane_bits[t] = (state & 1) as u8;
-                let evicted = (self.batch_decisions[t * lanes + l] >> state) & 1;
-                state = (state >> 1) | ((evicted as usize) << 5);
-            }
         }
     }
 
@@ -334,17 +219,61 @@ impl ViterbiDecoder {
         self.decode_soft_into(&llrs, bits);
         self.hard_llrs = llrs;
     }
+}
 
-    /// Subtracts the minimum path metric from every state when the
-    /// metrics have drifted dangerously close to the sentinel. No-op on
-    /// realistic inputs (bit-identity with the reference is preserved
-    /// whenever the guard never fires).
-    fn renormalize_if_needed(&mut self) {
-        let min = self.metric.iter().copied().fold(f64::INFINITY, f64::min);
-        if min.abs() > NORM_LIMIT && min.is_finite() {
-            for m in self.metric.iter_mut() {
-                *m -= min;
-            }
+/// One steady-state trellis step: 32 butterflies from `metric` into
+/// `next`, returning the packed decision word.
+///
+/// The loop reads both halves of `metric` contiguously and stores each
+/// comparison as a 0/1 byte, so it vectorizes; the bytes are then
+/// packed eight at a time with one multiply.
+#[inline(always)]
+fn acs_step(
+    metric: &[f64; N_STATES],
+    next: &mut [f64; N_STATES],
+    su: &[f64; HALF],
+    sv: &[f64; HALF],
+    la: Llr,
+    lb: Llr,
+) -> u64 {
+    let (lo, hi) = metric.split_at(HALF);
+    let mut take_even = [0u8; HALF];
+    let mut take_odd = [0u8; HALF];
+    for i in 0..HALF {
+        let (u, v) = (su[i] * la, sv[i] * lb);
+        // Strict `<`: ties keep the lower predecessor, matching
+        // ascending-order full search.
+        let (c1, c2) = ((lo[i] + u) + v, (hi[i] - u) - v);
+        let take2 = c2 < c1;
+        next[2 * i] = if take2 { c2 } else { c1 };
+        take_even[i] = take2 as u8;
+        let (c1, c2) = ((lo[i] - u) - v, (hi[i] + u) + v);
+        let take2 = c2 < c1;
+        next[2 * i + 1] = if take2 { c2 } else { c1 };
+        take_odd[i] = take2 as u8;
+    }
+    pack_flags(&take_even) | pack_flags(&take_odd) << HALF
+}
+
+/// Packs 32 0/1 bytes into the low 32 bits, byte `i` to bit `i`: the
+/// multiply gathers bit 0 of each of eight bytes into the top byte.
+#[inline(always)]
+fn pack_flags(flags: &[u8; HALF]) -> u64 {
+    flags.chunks_exact(8).enumerate().fold(0, |word, (k, b)| {
+        let b = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        word | (b.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+    })
+}
+
+/// Subtracts the minimum path metric from every state when the metrics
+/// have drifted dangerously close to the sentinel. No-op on realistic
+/// inputs (bit-identity with the reference is preserved whenever the
+/// guard never fires).
+fn renormalize_if_needed(metric: &mut [f64; N_STATES]) {
+    let min = metric.iter().copied().fold(f64::INFINITY, f64::min);
+    if min.abs() > NORM_LIMIT && min.is_finite() {
+        for m in metric.iter_mut() {
+            *m -= min;
         }
     }
 }
@@ -535,67 +464,42 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_bit_exact() {
-        // Lockstep lanes vs decoding each lane alone, over noisy LLRs
-        // (tie-heavy erasures included), lane counts including 1.
-        let mut rng = Rng::new(7);
-        for lanes in [1usize, 2, 5, 8] {
-            for len in [8usize, 40, 333] {
-                let mut lane_llrs = Vec::new();
-                let mut want = Vec::new();
-                for _ in 0..lanes {
-                    let msg = tailed_message(&mut rng, len);
-                    let coded = encode(&msg);
-                    let mut llrs: Vec<Llr> = coded
-                        .iter()
-                        .map(|&b| {
-                            let tx = if b == 1 { -1.0 } else { 1.0 };
-                            tx + 0.8 * rng.gaussian()
-                        })
-                        .collect();
-                    for l in llrs.iter_mut().step_by(17) {
-                        *l = 0.0; // erasures exercise tie-breaking
-                    }
-                    want.extend(decode_soft(&llrs));
-                    lane_llrs.push(llrs);
-                }
-                let n_steps = len;
-                let mut plane = vec![0.0f64; n_steps * 2 * lanes];
-                for (l, llrs) in lane_llrs.iter().enumerate() {
-                    for t in 0..n_steps {
-                        plane[t * 2 * lanes + l] = llrs[2 * t];
-                        plane[t * 2 * lanes + lanes + l] = llrs[2 * t + 1];
-                    }
-                }
-                let mut dec = ViterbiDecoder::new();
-                let mut got = Vec::new();
-                dec.decode_soft_batch(&plane, lanes, &mut got);
-                assert_eq!(got, want, "lanes {lanes} len {len}");
-            }
+    fn butterfly_branches_are_sign_complements() {
+        // The steady-state loop's cost identities: of the four branches
+        // of butterfly (i, i|32) → (2i, 2i+1), the two crossing ones
+        // carry the complement of the `i → 2i` outputs and `i|32 →
+        // 2i+1` carries the same outputs.
+        use crate::convolutional::next_state;
+        for i in 0..HALF as u32 {
+            let (a, b) = branch_output(i, 0);
+            assert_eq!(next_state(i, 0), 2 * i);
+            assert_eq!(next_state(i | 32, 0), 2 * i);
+            assert_eq!(next_state(i, 1), 2 * i + 1);
+            assert_eq!(next_state(i | 32, 1), 2 * i + 1);
+            assert_eq!(branch_output(i | 32, 0), (a ^ 1, b ^ 1), "pair {i}");
+            assert_eq!(branch_output(i, 1), (a ^ 1, b ^ 1), "pair {i}");
+            assert_eq!(branch_output(i | 32, 1), (a, b), "pair {i}");
         }
     }
 
     #[test]
-    fn batch_empty_and_reuse() {
+    fn huge_llrs_renormalize_and_decode_exactly() {
+        // |LLR| = 1e277 drives the best path metric past NORM_LIMIT
+        // within 4096 steps, so the renormalization at step 4095 must
+        // fire; the clean codeword must still decode exactly.
+        let mut rng = Rng::new(8);
+        let msg = tailed_message(&mut rng, 4200);
+        let llrs: Vec<Llr> = encode(&msg)
+            .iter()
+            .map(|&b| if b == 1 { -1e277 } else { 1e277 })
+            .collect();
         let mut dec = ViterbiDecoder::new();
         let mut bits = Vec::new();
-        dec.decode_soft_batch(&[], 3, &mut bits);
-        assert!(bits.is_empty());
-        // Reuse after a scalar decode must not leak state.
-        let msg = vec![1u8, 0, 1, 1, 0, 0, 0, 0, 0, 0];
-        let coded = encode(&msg);
-        let llrs: Vec<Llr> = coded
-            .iter()
-            .map(|&b| if b == 1 { -1.0 } else { 1.0 })
-            .collect();
         dec.decode_soft_into(&llrs, &mut bits);
-        let mut plane = vec![0.0f64; llrs.len()];
-        for t in 0..msg.len() {
-            plane[2 * t] = llrs[2 * t];
-            plane[2 * t + 1] = llrs[2 * t + 1];
-        }
-        dec.decode_soft_batch(&plane, 1, &mut bits);
         assert_eq!(bits, msg);
+        // Unrenormalized, the best metric would sit near −8.4e280.
+        let min = dec.metric.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(min.abs() < NORM_LIMIT, "renormalization did not run: {min}");
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Differential test layer for the batch plane: every `_batch` kernel
-//! must be **bit-identical** to its scalar `_into` counterpart — and,
-//! where one exists, to the conformance reference implementation —
-//! across randomized rates, payload lengths (tail/pad edges), RF
-//! configurations and batch sizes (1, N, and a ragged last batch).
+//! Differential test layer for the batch plane: the batch RF chain and
+//! the batched link driver must be **bit-identical** to their scalar
+//! counterparts — and, where one exists, to the conformance reference
+//! implementation — across randomized rates, payload lengths (tail/pad
+//! edges), RF configurations and batch sizes (1, N, and a ragged last
+//! batch). The Viterbi decoder every lane ends in is checked against
+//! the conformance reference trellis as well.
 //!
 //! Exact `==` on decoded bits and `f64::to_bits` on samples throughout:
 //! the batch plane exists so the goldens, the pinned sweeps and the
 //! Annex G gates never need re-blessing, so "close" is failure here.
 
 use wlan_ams::CosimReceiver;
-use wlan_dsp::fft::Fft;
 use wlan_dsp::{Complex, Rng};
 use wlan_phy::viterbi::{Llr, ViterbiDecoder};
 use wlan_phy::Rate;
@@ -129,91 +130,32 @@ fn rf_chain_batch_matches_scalar_and_staged() {
     }
 }
 
-/// 64-point FFT: `forward64_batch`/`inverse64_batch` over a lane-major
-/// plane equal the scalar specialized kernel per lane, for batch sizes
-/// 1, a small odd count, and a wide plane.
+/// Viterbi: `decode_soft_into` equals the conformance reference, for
+/// message lengths hitting the tail/warm-up edges and typical OFDM
+/// symbol payloads, with one decoder reused across every stream.
 #[test]
-fn fft64_batch_matches_scalar_per_lane() {
-    let fft = Fft::new(64);
-    let mut rng = Rng::new(0xfff);
-    for &lanes in &[1usize, 3, 16] {
-        let lane_inputs: Vec<Vec<Complex>> =
-            (0..lanes).map(|_| noise_burst(&mut rng, 64, 1.0)).collect();
-        let mut plane = vec![Complex::ZERO; 64 * lanes];
-        for (l, lane) in lane_inputs.iter().enumerate() {
-            for (k, &v) in lane.iter().enumerate() {
-                plane[k * lanes + l] = v;
-            }
-        }
-        fft.forward64_batch(&mut plane, lanes);
-        for (l, lane) in lane_inputs.iter().enumerate() {
-            let mut s = lane.clone();
-            fft.forward(&mut s);
-            let got: Vec<Complex> = (0..64).map(|k| plane[k * lanes + l]).collect();
-            assert_bits_eq(&got, &s, &format!("forward64_batch lanes={lanes} lane={l}"));
-        }
-        fft.inverse64_batch(&mut plane, lanes);
-        for (l, lane) in lane_inputs.iter().enumerate() {
-            let mut s = lane.clone();
-            fft.forward(&mut s);
-            fft.inverse(&mut s);
-            let got: Vec<Complex> = (0..64).map(|k| plane[k * lanes + l]).collect();
-            assert_bits_eq(&got, &s, &format!("inverse64_batch lanes={lanes} lane={l}"));
-        }
-    }
-}
-
-/// Viterbi: `decode_soft_batch` over a step-major LLR plane equals
-/// `decode_soft_into` per lane equals the conformance reference, for
-/// message lengths hitting the tail/warm-up edges and batch sizes
-/// 1, 2 and 5.
-#[test]
-fn viterbi_batch_matches_scalar_and_reference() {
+fn viterbi_matches_reference() {
     let mut rng = Rng::new(0xdec0de);
     let mut dec = ViterbiDecoder::new();
+    let mut bits = Vec::new();
     // 1 and 5 information bits sit inside the 6-step warm-up; the rest
     // cover typical OFDM symbol payloads.
     for &message_bits in &[1usize, 5, 48, 97, 240] {
-        for &lanes in &[1usize, 2, 5] {
-            let lane_llrs: Vec<Vec<Llr>> = (0..lanes)
-                .map(|_| {
-                    let mut bits: Vec<u8> = (0..message_bits)
-                        .map(|_| rng.next_u64() as u8 & 1)
-                        .collect();
-                    bits.extend_from_slice(&[0; 6]);
-                    wlan_phy::convolutional::encode(&bits)
-                        .iter()
-                        .map(|&b| (1.0 - 2.0 * b as f64) + 0.7 * rng.gaussian())
-                        .collect()
-                })
+        for trial in 0..5 {
+            let mut msg: Vec<u8> = (0..message_bits)
+                .map(|_| rng.next_u64() as u8 & 1)
                 .collect();
-            let n_steps = lane_llrs[0].len() / 2;
-            let mut plane = vec![0.0f64; 2 * n_steps * lanes];
-            for t in 0..n_steps {
-                for (l, lane) in lane_llrs.iter().enumerate() {
-                    plane[t * 2 * lanes + l] = lane[2 * t];
-                    plane[t * 2 * lanes + lanes + l] = lane[2 * t + 1];
-                }
-            }
-            let mut batch_bits = Vec::new();
-            dec.decode_soft_batch(&plane, lanes, &mut batch_bits);
-            assert_eq!(batch_bits.len(), n_steps * lanes);
-            let mut scalar_bits = Vec::new();
-            for (l, lane) in lane_llrs.iter().enumerate() {
-                dec.decode_soft_into(lane, &mut scalar_bits);
-                let got = &batch_bits[l * n_steps..(l + 1) * n_steps];
-                assert_eq!(
-                    got,
-                    &scalar_bits[..],
-                    "decode_soft_batch bits={message_bits} lanes={lanes} lane={l} vs scalar"
-                );
-                let reference = wlan_conformance::refimpl::viterbi_reference(lane);
-                assert_eq!(
-                    got,
-                    &reference[..],
-                    "decode_soft_batch bits={message_bits} lanes={lanes} lane={l} vs refimpl"
-                );
-            }
+            msg.extend_from_slice(&[0; 6]);
+            let llrs: Vec<Llr> = wlan_phy::convolutional::encode(&msg)
+                .iter()
+                .map(|&b| (1.0 - 2.0 * b as f64) + 0.7 * rng.gaussian())
+                .collect();
+            dec.decode_soft_into(&llrs, &mut bits);
+            assert_eq!(
+                bits,
+                wlan_conformance::refimpl::viterbi_reference(&llrs),
+                "decode_soft_into bits={message_bits} trial={trial} vs refimpl"
+            );
         }
     }
 }

@@ -9,6 +9,8 @@
 //! buffer lifetime in the hot path fails loudly here.
 
 use wlan_dsp::Rng;
+use wlan_phy::params::CodeRate;
+use wlan_phy::puncture::{depuncture_into, puncture};
 use wlan_phy::viterbi::{decode_soft, Llr, ViterbiDecoder};
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
@@ -126,5 +128,74 @@ fn decoders_agree_on_pure_noise() {
         dec.decode_soft_into(&llrs, &mut got);
         assert_eq!(got, decode_soft(&llrs));
         assert_eq!(got, wlan_conformance::refimpl::viterbi_reference(&llrs));
+    }
+}
+
+/// Trellis step counts at the decoder's structural edges: empty, inside
+/// and just past the 6-step warm-up, odd and even remainders of the
+/// two-step steady-state loop, and either side of the renormalization
+/// checks at steps 4095 and 8191.
+const EDGE_STEPS: [usize; 12] = [0, 1, 2, 5, 6, 7, 8, 9, 4095, 4096, 4097, 8193];
+
+/// Codeword of `n_steps` trellis steps (random bits, then a zero tail
+/// as far as it fits).
+fn edge_codeword(n_steps: usize, rng: &mut Rng) -> Vec<u8> {
+    let mut bits: Vec<u8> = (0..n_steps).map(|_| (rng.next_u64() & 1) as u8).collect();
+    let tail = n_steps.saturating_sub(6);
+    bits[tail..].fill(0);
+    wlan_phy::convolutional::encode(&bits)
+}
+
+/// Property: `decode_soft_into` equals the conformance reference bit
+/// for bit at every structural edge step count, on Gaussian LLRs,
+/// tie-heavy small-integer LLRs and the erasure patterns the receiver
+/// feeds it at all three code rates, with one decoder reused across
+/// the lengths in descending then ascending order.
+#[test]
+fn decoder_matches_reference_at_trellis_edges() {
+    let mut rng = Rng::new(4097);
+    let mut dec = ViterbiDecoder::new();
+    let mut got = Vec::new();
+    let mut depunctured = Vec::new();
+    let lengths = EDGE_STEPS.iter().rev().chain(EDGE_STEPS.iter());
+    for &n_steps in lengths {
+        let mut streams: Vec<(String, Vec<Llr>)> = Vec::new();
+        let coded = edge_codeword(n_steps, &mut rng);
+        streams.push((
+            "gaussian".into(),
+            coded
+                .iter()
+                .map(|&b| (1.0 - 2.0 * b as f64) + 0.8 * rng.gaussian())
+                .collect(),
+        ));
+        streams.push((
+            "integer".into(),
+            coded
+                .iter()
+                .map(|&b| {
+                    (2.0 * (1.0 - 2.0 * b as f64) + (1.5 * rng.gaussian()).round()).clamp(-3.0, 3.0)
+                })
+                .collect(),
+        ));
+        // Puncture a codeword padded to whole puncturing periods (6
+        // steps fit both 2/3 and 3/4), then cut the depunctured stream
+        // back to `n_steps` steps.
+        let padded = edge_codeword(n_steps.div_ceil(6) * 6, &mut rng);
+        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34] {
+            let sent: Vec<Llr> = puncture(&padded, rate)
+                .iter()
+                .map(|&b| (1.0 - 2.0 * b as f64) + 0.6 * rng.gaussian())
+                .collect();
+            depuncture_into(&sent, rate, &mut depunctured);
+            streams.push((format!("{rate:?}"), depunctured[..2 * n_steps].to_vec()));
+        }
+        for (kind, llrs) in &streams {
+            dec.decode_soft_into(llrs, &mut got);
+            assert_eq!(
+                got,
+                wlan_conformance::refimpl::viterbi_reference(llrs),
+                "{kind} LLRs, {n_steps} steps"
+            );
+        }
     }
 }
