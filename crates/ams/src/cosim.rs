@@ -50,6 +50,13 @@ const COSIM_CHUNK: usize = 1024;
 /// `COSIM_CHUNK · analog_osr` expanded buffer (16 MiB here).
 pub const MAX_ANALOG_OSR: usize = 1024;
 
+/// Largest accepted `|λ|·dt` for any elaborated filter pole: the radius
+/// of the left half-disk that RK4's stability region contains. The
+/// region reaches −2.785 on the real axis and ±2.83 on the imaginary
+/// one, but its boundary comes in to 2.6156 at 122.7°, so a disk of
+/// 2.6 holds every stable pole direction with margin.
+pub const RK4_STABLE_RADIUS: f64 = 2.6;
+
 impl std::fmt::Debug for CosimReceiver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CosimReceiver")
@@ -75,7 +82,11 @@ impl CosimReceiver {
     /// Returns a [`NetlistError`] if the netlist fails to parse or
     /// elaborate, and [`NetlistError::InvalidSetting`] unless
     /// `sample_rate_hz` is finite and positive, `analog_osr` is in
-    /// `1..=`[`MAX_ANALOG_OSR`] and `decimation ≥ 1`.
+    /// `1..=`[`MAX_ANALOG_OSR`], `decimation ≥ 1`, and every
+    /// elaborated filter pole satisfies `|λ|·dt ≤`
+    /// [`RK4_STABLE_RADIUS`] at the sub-step
+    /// `dt = 1/(sample_rate_hz·analog_osr)` (beyond it RK4 diverges and
+    /// the receiver would emit non-finite samples).
     pub fn from_netlist(
         text: &str,
         sample_rate_hz: f64,
@@ -102,11 +113,22 @@ impl CosimReceiver {
         }
         let netlist = Netlist::parse(text)?;
         let devices = elaborate(&netlist, "rf", "out")?;
+        let dt = 1.0 / (sample_rate_hz * analog_osr as f64);
+        for d in &devices {
+            let z = d.fastest_pole() * dt;
+            if !(z.is_finite() && z <= RK4_STABLE_RADIUS) {
+                return Err(setting(
+                    "fastest filter pole |λ|·dt",
+                    z,
+                    "at most 2.6 (RK4 stability): raise analog_osr or lower the filter frequency",
+                ));
+            }
+        }
         Ok(CosimReceiver {
             memoryless_prefix: devices.iter().take_while(|d| d.is_memoryless()).count(),
             devices,
             analog_osr,
-            dt: 1.0 / (sample_rate_hz * analog_osr as f64),
+            dt,
             agc: Agc::new(AgcMode::Ideal, 1.0),
             adc: Adc::new(10, 4.0),
             dc_correction: DcBlocker::with_cutoff(40e3, sample_rate_hz / decimation as f64),
@@ -488,6 +510,30 @@ mod tests {
                 })
             ));
         }
+    }
+
+    #[test]
+    fn rk4_unstable_filter_pole_is_a_typed_error() {
+        // A 1 PHz channel filter elaborates, but its poles lie far
+        // outside RK4's stability region at any sub-step: it used to
+        // emit non-finite samples, and must now be refused.
+        let rejected = |edge_hz: f64, osr: usize| {
+            matches!(
+                CosimReceiver::with_filter_edge(edge_hz, 80e6, osr, 4),
+                Err(NetlistError::InvalidSetting {
+                    setting: "fastest filter pole |λ|·dt",
+                    ..
+                })
+            )
+        };
+        assert!(rejected(1e15, 8));
+        assert!(rejected(1e15, MAX_ANALOG_OSR));
+        // The default netlist (10 MHz edge, |λ|·dt ≈ 0.8 at one sub-step
+        // per 80 Msps sample) still builds at analog_osr 1 and runs
+        // finite.
+        let mut rx = CosimReceiver::new(80e6, 1, 4).expect("default netlist at osr 1");
+        let y = rx.process(&tone_dbm(1e6, 80e6, -50.0, 4000));
+        assert!(y.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
     }
 
     #[test]

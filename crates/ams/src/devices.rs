@@ -48,6 +48,13 @@ pub trait AnalogDevice: Send {
     fn is_memoryless(&self) -> bool {
         false
     }
+
+    /// Largest pole magnitude `|λ|` (rad/s) of the device's linear
+    /// dynamics that the fixed-step solver integrates; 0 for a device
+    /// without any.
+    fn fastest_pole(&self) -> f64 {
+        0.0
+    }
 }
 
 /// Amplifier: gain plus optional compression (memoryless).
@@ -181,6 +188,9 @@ impl AnalogDevice for AnalogFilterDevice {
     }
     fn reset(&mut self) {
         self.filter.reset();
+    }
+    fn fastest_pole(&self) -> f64 {
+        self.filter.fastest_pole()
     }
 }
 

@@ -88,6 +88,22 @@ impl StateSpaceSection {
         self.order
     }
 
+    /// Largest pole magnitude `|λ|` in rad/s: the roots of `s + α0`
+    /// (order 1) or `s² + α1·s + α0` (order 2).
+    pub fn fastest_pole(&self) -> f64 {
+        let [a0, a1] = self.alpha;
+        if self.order == 1 {
+            return a0.abs();
+        }
+        let disc = a1 * a1 - 4.0 * a0;
+        if disc < 0.0 {
+            // Complex pair: |λ|² = λ·λ̄ = α0.
+            a0.sqrt()
+        } else {
+            (a1.abs() + disc.sqrt()) / 2.0
+        }
+    }
+
     /// Selects the integration method.
     pub fn set_integrator(&mut self, integrator: Integrator) {
         self.integrator = integrator;
@@ -224,6 +240,14 @@ impl StateSpaceFilter {
     /// Total state count.
     pub fn state_count(&self) -> usize {
         self.sections.iter().map(|s| s.order()).sum()
+    }
+
+    /// Largest pole magnitude of any section, in rad/s.
+    pub fn fastest_pole(&self) -> f64 {
+        self.sections
+            .iter()
+            .map(StateSpaceSection::fastest_pole)
+            .fold(0.0, f64::max)
     }
 
     /// Advances the cascade by `dt` with ZOH input.

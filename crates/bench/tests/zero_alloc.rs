@@ -7,6 +7,10 @@
 //! and the batch driver's [`BatchScratch`] plane stabilizes after its
 //! first full batch.
 //!
+//! A second same-config `run_shard` on one thread must take the
+//! thread's packet arena instead of rebuilding it, so it allocates only
+//! its per-shard front-end state: a handful of small allocations.
+//!
 //! The test binary holds exactly one `#[test]` so no sibling test can
 //! allocate on another thread while the counter is armed.
 
@@ -16,18 +20,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use wlan_exec::ThreadPool;
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
-use wlan_sim::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkReport, LinkSimulation};
+use wlan_sim::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
 use wlan_sim::serve::{ServeConfig, SessionEngine};
 
 struct CountingAllocator;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
@@ -35,6 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -103,8 +110,9 @@ fn batched_config(packets: usize) -> LinkConfig {
 }
 
 /// Heap allocations (alloc + realloc calls) during `run`.
-fn count_allocs(run: impl FnOnce() -> LinkReport) -> (LinkReport, u64) {
+fn count_allocs<R>(run: impl FnOnce() -> R) -> (R, u64) {
     ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let report = run();
     ARMED.store(false, Ordering::SeqCst);
@@ -194,6 +202,29 @@ fn steady_state_link_loop_is_allocation_free() {
         "rf baseband batched",
         allocs_for_batched(rf_config(8), 4),
         allocs_for_batched(rf_config(16), 4),
+    );
+    // Sharded sweeps: a 1-packet shard after one of the same config on
+    // the same thread reuses that shard's packet arena (worst-case
+    // receive reservation, scene and transmit buffers), at the osr 8
+    // of the blocking sweep.
+    let sim = LinkSimulation::new(LinkConfig {
+        osr: 8,
+        ..rf_config(1)
+    });
+    let (cold, cold_allocs) = count_allocs(|| sim.run_shard(0, 1, 900));
+    let cold_bytes = BYTES.load(Ordering::SeqCst);
+    assert_eq!(cold.packets, 1);
+    let (mut allocs, mut bytes) = (u64::MAX, u64::MAX);
+    for shard in 1..4 {
+        let (report, n) = count_allocs(|| sim.run_shard(shard, 1, 900 + shard as u64));
+        assert_eq!(report.packets, 1);
+        allocs = allocs.min(n);
+        bytes = bytes.min(BYTES.load(Ordering::SeqCst));
+    }
+    assert!(
+        allocs < 32 && bytes < 64 * 1024,
+        "warm shard: {allocs} allocations, {bytes} B (cold: {cold_allocs}, {cold_bytes} B); \
+         run_shard must reuse the thread's packet arena"
     );
     // Streaming session engine: after admission (which preallocates the
     // arenas, rings, queues and latency log) and one warm drive, a

@@ -16,7 +16,7 @@
 //! all-ones scrambler sequence of §17.3.5.4), the constant is embedded
 //! so the check is anchored to the document, not to either program.
 
-use wlan_dsp::Complex;
+use wlan_dsp::{Complex, Rng};
 
 /// §17.3.5.4: the 127-bit output of the scrambler seeded with all
 /// ones, packed MSB-first (the 128th bit of the last byte is padding).
@@ -397,6 +397,62 @@ pub fn viterbi_reference(llrs: &[f64]) -> Vec<u8> {
         state = (state >> 1) | ((evicted as usize) << 5);
     }
     bits
+}
+
+/// Single-rate flicker (1/f) noise: `n` samples of the octave-section
+/// model `wlan_rf::noise::FlickerNoise` synthesizes, with every section
+/// updated at every sample. Section `k` is the AR(1) process
+/// `x[n] = p·x[n−1] + g·w[n]` with pole `p = exp(−2π·(corner/2^k)/fs)`,
+/// gain `g = (1 − p)·2^{k/2}` and drive `w ~ complex_gaussian(2.0)`;
+/// the output is `sqrt(floor_power/2)·Σ_k x_k`, with up to 11 sections
+/// and none below 0.01 Hz.
+///
+/// This is the pre-multirate model kept as the statistical reference
+/// for the multirate one: its sections draw 22 deviates per sample and
+/// are exact at every sample. The `wlan-rf` noise tests assert that a
+/// `FlickerNoise` whose strides are all 1 reproduces it bit for bit,
+/// and check the multirate model's spectrum against its designed
+/// staircase.
+///
+/// # Panics
+///
+/// Panics if `corner_hz` is not in `(0, fs/2)`.
+pub fn flicker_reference(
+    floor_power: f64,
+    corner_hz: f64,
+    sample_rate_hz: f64,
+    mut rng: Rng,
+    n: usize,
+) -> Vec<Complex> {
+    assert!(
+        corner_hz > 0.0 && corner_hz < sample_rate_hz / 2.0,
+        "corner {corner_hz} Hz must be in (0, fs/2)"
+    );
+    // (state, pole, gain) per octave section.
+    let mut sections = Vec::new();
+    let mut f = corner_hz;
+    let mut weight = 1.0f64;
+    for _ in 0..11 {
+        let pole = (-2.0 * std::f64::consts::PI * f / sample_rate_hz).exp();
+        sections.push((Complex::ZERO, pole, (1.0 - pole) * weight));
+        f /= 2.0;
+        weight *= std::f64::consts::SQRT_2;
+        if f < 0.01 {
+            break;
+        }
+    }
+    let white_gain = (floor_power / 2.0).sqrt();
+    (0..n)
+        .map(|_| {
+            let mut acc = Complex::ZERO;
+            for (state, pole, gain) in sections.iter_mut() {
+                let w = rng.complex_gaussian(2.0);
+                *state = *state * *pole + w * *gain;
+                acc += *state;
+            }
+            acc * white_gain
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! channel) → RF front-end at a chosen abstraction level → DSP receiver
 //! → BER/EVM meters.
 
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 use wlan_ams::CosimReceiver;
 use wlan_channel::awgn::Awgn;
@@ -201,6 +202,20 @@ pub(crate) struct PacketScratch {
     adj_burst: Vec<Complex>,
     /// Composite oversampled scene (RF modes).
     scene: Vec<Complex>,
+}
+
+/// What a [`PacketScratch`] is built for: its transmitters depend on the
+/// rate and profile, its scene renderer on the profile and `osr`.
+type ScratchKey = (Rate, &'static OfdmProfile, usize);
+
+thread_local! {
+    /// One-slot per-thread arena of [`LinkSimulation::run_shard`]: the
+    /// last shard's [`PacketScratch`] and its key. A shard of the same
+    /// key takes it instead of building a fresh one, so a sweep of
+    /// 1-packet shards reuses the worst-case receive reservation instead
+    /// of reallocating it per shard.
+    static SHARD_SCRATCH: RefCell<Option<(ScratchKey, PacketScratch)>> =
+        const { RefCell::new(None) };
 }
 
 impl PacketScratch {
@@ -567,11 +582,22 @@ impl LinkSimulation {
     ///
     /// Global packet indices keep the scrambler-seed schedule aligned
     /// with frame identity, so the shard decomposition — not the
-    /// execution order — defines the result.
+    /// execution order — defines the result. The packet buffers come
+    /// from a per-thread arena that the previous shard of the same
+    /// rate, profile and osr left behind, so back-to-back small shards
+    /// do not reallocate them.
     pub fn run_shard(&self, first_packet: usize, packets: usize, seed: u64) -> ShardReport {
         let cfg = &self.config;
         let mut rng = Rng::new(seed);
-        let mut fe = self.front_end_state(seed);
+        // Only buffer capacity carries over from the thread's previous
+        // shard: every buffer is overwritten before it is read, and the
+        // front ends, noise stream and receiver below are fresh.
+        let key: ScratchKey = (cfg.rate, cfg.profile, cfg.osr);
+        let scratch = SHARD_SCRATCH
+            .with(|slot| slot.borrow_mut().take())
+            .filter(|(k, _)| *k == key)
+            .map_or_else(|| PacketScratch::new(key.0, key.1, key.2), |(_, s)| s);
+        let mut fe = self.front_end_state_with(seed, scratch);
         let rx = Receiver::with_profile(self.config.profile);
         let mut report = ShardReport::default();
 
@@ -590,6 +616,7 @@ impl LinkSimulation {
             }
             report.packets += 1;
         }
+        SHARD_SCRATCH.with(|slot| *slot.borrow_mut() = Some((key, fe.scratch)));
         report
     }
 
@@ -643,6 +670,12 @@ impl LinkSimulation {
     /// packets of one serial run or one shard).
     pub(crate) fn front_end_state(&self, seed: u64) -> FrontEndState {
         let cfg = &self.config;
+        self.front_end_state_with(seed, PacketScratch::new(cfg.rate, cfg.profile, cfg.osr))
+    }
+
+    /// [`LinkSimulation::front_end_state`] around a given arena.
+    fn front_end_state_with(&self, seed: u64, scratch: PacketScratch) -> FrontEndState {
+        let cfg = &self.config;
         let bb = match &cfg.front_end {
             FrontEnd::RfBaseband(rf) => {
                 // The front end must run at the scene's oversampled rate.
@@ -673,7 +706,7 @@ impl LinkSimulation {
             bb,
             cosim,
             noise: Awgn::new(seed ^ 0x5EED),
-            scratch: PacketScratch::new(cfg.rate, cfg.profile, cfg.osr),
+            scratch,
         }
     }
 

@@ -66,20 +66,98 @@ impl ThermalNoise {
 /// Most octave sections a [`FlickerNoise`] synthesizes.
 const MAX_FLICKER_SECTIONS: usize = 11;
 
-/// Samples per [`FlickerNoise::add_scaled_to`] chunk; its stack buffer
-/// holds `FLICKER_CHUNK × 2 × MAX_FLICKER_SECTIONS` deviates (11 KiB).
-const FLICKER_CHUNK: usize = 64;
+/// Section `k` advances once every `D_k` samples, `D_k` the largest
+/// power of two with `D_k · STRIDE_MARGIN · f_k ≤ fs` (and at least 1):
+/// unless `D_k = 1`, its pole sits at least 128× below its update rate,
+/// so linear interpolation between updates holds the designed spectrum.
+const STRIDE_MARGIN: f64 = 128.0;
+
+/// Drive deviates pre-drawn per [`Rng::fill_gaussian`] refill.
+const DRIVE_BLOCK: usize = 64;
+
+/// One octave section of a [`FlickerNoise`]: the AR(1) process
+/// `x[n] = p·x[n−1] + g·w[n]` with pole `p = exp(−2π·f/fs)`, gain `g`
+/// and drive `w ~ complex_gaussian(2.0)`, observed only every `stride`
+/// samples and interpolated linearly in between.
+#[derive(Debug, Clone)]
+struct FlickerSection {
+    /// Samples between updates, `D` (a power of two).
+    stride: u64,
+    /// `1/D`, exact since `D` is a power of two.
+    inv_stride: f64,
+    /// `p^D`.
+    decay: f64,
+    /// `g·sqrt((1 − p^{2D}) / (1 − p²))`, the `D`-step drive gain.
+    drive: f64,
+    /// Process value at the end of the current stride.
+    next: Complex,
+    /// Per-sample increment of the interpolation over the current stride.
+    step: Complex,
+}
+
+impl FlickerSection {
+    fn new(pole_hz: f64, weight: f64, sample_rate_hz: f64) -> Self {
+        let mut stride = 1u64;
+        while 2.0 * stride as f64 * STRIDE_MARGIN * pole_hz <= sample_rate_hz {
+            stride *= 2;
+        }
+        let d = stride as f64;
+        let pole = (-2.0 * std::f64::consts::PI * pole_hz / sample_rate_hz).exp();
+        let gain = (1.0 - pole) * weight;
+        // 1 − p^{2D} and 1 − p² as −expm1(−4π·f·D/fs): at D = 1 both are
+        // the same float, so the ratio is exactly 1.0 and the section
+        // is the single-rate recurrence bit for bit.
+        let one_minus =
+            |d: f64| -(-4.0 * std::f64::consts::PI * pole_hz * d / sample_rate_hz).exp_m1();
+        FlickerSection {
+            stride,
+            inv_stride: 1.0 / d,
+            decay: (-2.0 * std::f64::consts::PI * pole_hz * d / sample_rate_hz).exp(),
+            drive: gain * (one_minus(d) / one_minus(1.0)).sqrt(),
+            next: Complex::ZERO,
+            step: Complex::ZERO,
+        }
+    }
+
+    /// Advances the process by one stride (`D` samples) with drive `w`:
+    /// exact in distribution at the update instants.
+    #[inline]
+    fn update(&mut self, w: Complex) {
+        let prev = self.next;
+        self.next = self.next * self.decay + w * self.drive;
+        self.step = (self.next - prev) * self.inv_stride;
+    }
+}
 
 /// Flicker (1/f) noise approximated by a sum of first-order lowpass
 /// filtered white sources with octave-spaced corner frequencies — the
 /// standard Voss-ish synthesis, adequate for demonstrating why the
 /// second conversion stage needs DC-block/highpass filtering.
+///
+/// Each section runs at the rate its bandwidth needs: section `k`
+/// (pole at `corner/2^k`) takes one exact `D_k`-step update every `D_k`
+/// samples and is interpolated linearly in between, so the whole sum
+/// costs about `4/D_0` Gaussian deviates per sample instead of
+/// `2 × sections`. The strides are nested powers of two, so every
+/// update falls on a multiple of `D_0`, and within each `D_0`-sample
+/// block the sum is one complex line `base + slope·j`.
 #[derive(Debug, Clone)]
 pub struct FlickerNoise {
-    /// `(state, pole, gain)` per octave section, I and Q independent.
-    sections: Vec<(Complex, f64, f64)>,
+    sections: Vec<FlickerSection>,
     white_gain: f64,
     rng: Rng,
+    /// Block length `D_0` (section 0's stride, the shortest).
+    block: usize,
+    /// Sample index of the next block's first sample.
+    next_block: u64,
+    /// Samples of the current block already emitted.
+    offset: usize,
+    /// The flicker sum over the current block is `base + slope·offset`.
+    base: Complex,
+    slope: Complex,
+    /// Pre-drawn drive deviates; `deviates[used..]` are still unused.
+    deviates: [f64; DRIVE_BLOCK],
+    used: usize,
 }
 
 impl FlickerNoise {
@@ -90,11 +168,12 @@ impl FlickerNoise {
     ///
     /// # Panics
     ///
-    /// Panics if `corner_hz` is not positive or not below `fs/2`.
+    /// Panics if `corner_hz` is not positive or not below `fs/2`, or if
+    /// `fs` is not finite.
     pub fn new(floor_power: f64, corner_hz: f64, sample_rate_hz: f64, rng: Rng) -> Self {
         assert!(
-            corner_hz > 0.0 && corner_hz < sample_rate_hz / 2.0,
-            "corner {corner_hz} Hz must be in (0, fs/2)"
+            corner_hz > 0.0 && corner_hz < sample_rate_hz / 2.0 && sample_rate_hz.is_finite(),
+            "corner {corner_hz} Hz must be in (0, fs/2) for a finite fs"
         );
         // Octave-spaced poles from the corner downward. Section k (pole
         // at corner/2^k, unit DC gain) is amplitude-weighted by 2^{k/2}:
@@ -105,58 +184,86 @@ impl FlickerNoise {
         let mut f = corner_hz;
         let mut weight = 1.0f64;
         for _ in 0..MAX_FLICKER_SECTIONS {
-            let pole = (-2.0 * std::f64::consts::PI * f / sample_rate_hz).exp();
-            sections.push((Complex::ZERO, pole, (1.0 - pole) * weight));
+            sections.push(FlickerSection::new(f, weight, sample_rate_hz));
             f /= 2.0;
             weight *= std::f64::consts::SQRT_2;
             if f < 0.01 {
                 break;
             }
         }
+        let block = sections[0].stride as usize;
         FlickerNoise {
             sections,
             white_gain: (floor_power / 2.0).sqrt(),
             rng,
+            block,
+            next_block: 0,
+            offset: block,
+            base: Complex::ZERO,
+            slope: Complex::ZERO,
+            deviates: [0.0; DRIVE_BLOCK],
+            used: DRIVE_BLOCK,
         }
+    }
+
+    /// Starts the next `D_0`-sample block: updates the sections due at
+    /// its first sample, in section order, and sums every section's
+    /// interpolation line over the block into `base + slope·j`.
+    fn begin_block(&mut self) {
+        let n = self.next_block;
+        let mut base = Complex::ZERO;
+        let mut slope = Complex::ZERO;
+        for s in &mut self.sections {
+            let t = n & (s.stride - 1);
+            if t == 0 {
+                // The drive is `complex_gaussian(2.0)`, whose sigma is
+                // exactly 1.0, so the deviates are used as drawn.
+                if self.used == DRIVE_BLOCK {
+                    self.rng.fill_gaussian(&mut self.deviates);
+                    self.used = 0;
+                }
+                let w = Complex::new(self.deviates[self.used], self.deviates[self.used + 1]);
+                self.used += 2;
+                s.update(w);
+            }
+            // Sample `t + j` of the stride lies `D − 1 − t − j` steps
+            // before `next`.
+            base += s.next - s.step * (s.stride - 1 - t) as f64;
+            slope += s.step;
+        }
+        self.base = base;
+        self.slope = slope;
+        self.next_block = n + self.block as u64;
+        self.offset = 0;
     }
 
     /// Next flicker-noise sample.
     pub fn next_sample(&mut self) -> Complex {
-        let mut acc = Complex::ZERO;
-        // Collect section count first to avoid borrowing issues.
-        for i in 0..self.sections.len() {
-            let w = self.rng.complex_gaussian(2.0);
-            let (state, pole, gain) = self.sections[i];
-            let new_state = state * pole + w * gain;
-            self.sections[i].0 = new_state;
-            acc += new_state;
+        if self.offset == self.block {
+            self.begin_block();
         }
+        let acc = self.base + self.slope * self.offset as f64;
+        self.offset += 1;
         acc * self.white_gain
     }
 
     /// Adds `next_sample() * scale` to every element of `buf`, with the
-    /// white drive drawn in blocks: each chunk of 64 samples takes its
-    /// `2 × sections` deviates per sample from one [`Rng::fill_gaussian`]
-    /// call into a stack buffer, in exactly the order `next_sample`
-    /// draws them. That drive is `complex_gaussian(2.0)`, whose sigma is
-    /// exactly 1.0, so the deviates are used directly (IEEE
-    /// multiplication by 1.0 is the identity) and the result is
-    /// bit-identical.
+    /// same arithmetic per sample, so the result is bit-identical.
     pub fn add_scaled_to(&mut self, buf: &mut [Complex], scale: f64) {
-        let per_sample = 2 * self.sections.len();
-        let mut g = [0.0f64; FLICKER_CHUNK * 2 * MAX_FLICKER_SECTIONS];
-        for chunk in buf.chunks_mut(FLICKER_CHUNK) {
-            let g = &mut g[..chunk.len() * per_sample];
-            self.rng.fill_gaussian(g);
-            for (v, drive) in chunk.iter_mut().zip(g.chunks_exact(per_sample)) {
-                let mut acc = Complex::ZERO;
-                for (s, w) in self.sections.iter_mut().zip(drive.chunks_exact(2)) {
-                    let w = Complex::new(w[0], w[1]);
-                    s.0 = s.0 * s.1 + w * s.2;
-                    acc += s.0;
-                }
+        let mut rest = buf;
+        while !rest.is_empty() {
+            if self.offset == self.block {
+                self.begin_block();
+            }
+            let n = (self.block - self.offset).min(rest.len());
+            let (head, tail) = rest.split_at_mut(n);
+            let (base, slope) = (self.base, self.slope);
+            for (v, j) in head.iter_mut().zip(self.offset..) {
+                let acc = base + slope * j as f64;
                 *v += (acc * self.white_gain) * scale;
             }
+            self.offset += n;
+            rest = tail;
         }
     }
 }
@@ -164,7 +271,7 @@ impl FlickerNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlan_dsp::math::watts_to_dbm;
+    use wlan_dsp::math::{lin_to_db, watts_to_dbm};
     use wlan_dsp::spectrum::welch_psd;
 
     #[test]
@@ -257,10 +364,12 @@ mod tests {
 
     #[test]
     fn flicker_add_scaled_to_matches_next_sample() {
-        // 11 sections (the cap) and a low corner that stops at 4.
-        for corner in [50e3, 0.1] {
-            for n in [1, FLICKER_CHUNK - 1, FLICKER_CHUNK, FLICKER_CHUNK + 1, 1000] {
-                let mut block = FlickerNoise::new(1e-6, corner, 1e6, Rng::new(8));
+        // Unit strides below section 4 (1 MHz, 50 kHz corner), the 11
+        // sections of the 80 Msps chain (D_0 = 4), and a low corner that
+        // stops at 4 sections with one 65 536-sample block.
+        for (fs, corner) in [(1e6, 50e3), (80e6, 100e3), (1e6, 0.1)] {
+            for n in [1, 3, 4, 5, 63, 64, 65, 1000, 5376] {
+                let mut block = FlickerNoise::new(1e-6, corner, fs, Rng::new(8));
                 assert!(block.sections.len() <= MAX_FLICKER_SECTIONS);
                 let mut scalar = block.clone();
                 let scale = 0.75;
@@ -271,14 +380,225 @@ mod tests {
                     .iter()
                     .map(|&v| v + scalar.next_sample() * scale)
                     .collect();
-                assert_same_bits(&got, &want, &format!("flicker corner {corner} n {n}"));
+                let what = format!("flicker fs {fs} corner {corner} n {n}");
+                assert_same_bits(&got, &want, &what);
             }
         }
+    }
+
+    fn strides(f: &FlickerNoise) -> Vec<u64> {
+        f.sections.iter().map(|s| s.stride).collect()
+    }
+
+    #[test]
+    fn flicker_strides_follow_the_rule() {
+        // D_k is the largest power of two <= fs / (128·f_k), at least 1.
+        let at = |fs| FlickerNoise::new(1e-6, 100e3, fs, Rng::new(1));
+        let want: Vec<u64> = (0..11).map(|k| 4 << k).collect();
+        assert_eq!(strides(&at(80e6)), want);
+        let want: Vec<u64> = (0..11).map(|k| 8 << k).collect();
+        assert_eq!(strides(&at(160e6)), want);
+        // 20 Msps: fs/(128·f_0) = 1.56, so D_0 = 1 and D_k = 2^k.
+        let want: Vec<u64> = (0..11).map(|k| 1 << k).collect();
+        assert_eq!(strides(&at(20e6)), want);
+        // Deviates per sample (2 per update): ~1 at 80 Msps, 22 before.
+        let per_sample =
+            |f: &FlickerNoise| -> f64 { f.sections.iter().map(|s| 2.0 / s.stride as f64).sum() };
+        assert!((per_sample(&at(80e6)) - 1.0).abs() < 1e-3);
+        assert!((per_sample(&at(160e6)) - 0.5).abs() < 1e-3);
+    }
+
+    #[test]
+    fn flicker_with_unit_strides_is_the_single_rate_reference() {
+        // At fs = 4 Hz a 0.3 Hz corner gives 5 sections (0.3 down to
+        // 0.01875 Hz), all with fs/(128·f_k) < 2: every stride is 1, and
+        // both forms must reproduce the single-rate model bit for bit.
+        let (floor, corner, fs, n) = (2e-9, 0.3, 4.0, 20_000);
+        let want = wlan_conformance::refimpl::flicker_reference(floor, corner, fs, Rng::new(5), n);
+        let mut scalar = FlickerNoise::new(floor, corner, fs, Rng::new(5));
+        assert_eq!(strides(&scalar), vec![1; 5]);
+        let mut block = scalar.clone();
+        let got: Vec<Complex> = (0..n).map(|_| scalar.next_sample()).collect();
+        assert_same_bits(&got, &want, "next_sample");
+        let mut got = vec![Complex::ZERO; n];
+        block.add_scaled_to(&mut got[..777], 1.0);
+        block.add_scaled_to(&mut got[777..], 1.0);
+        assert_same_bits(&got, &want, "add_scaled_to");
+    }
+
+    #[test]
+    fn flicker_is_continuous_and_piecewise_linear() {
+        // Between updates each section moves along a straight line that
+        // reaches its new value on the stride's last sample, so the
+        // sum's first difference stays constant from the last sample of
+        // one D_0 block through the next block: no steps at updates.
+        let mut f = FlickerNoise::new(1e-6, 100e3, 80e6, Rng::new(9));
+        let d0 = f.block;
+        let x: Vec<Complex> = (0..1 << 18).map(|_| f.next_sample()).collect();
+        let d: Vec<Complex> = x.windows(2).map(|w| w[1] - w[0]).collect();
+        let rms = (d.iter().map(|v| v.norm_sqr()).sum::<f64>() / d.len() as f64).sqrt();
+        for b in 1..x.len() / d0 {
+            let run = &d[b * d0 - 1..(b + 1) * d0 - 1];
+            for v in run {
+                assert!(
+                    (*v - run[0]).abs() <= 1e-9 * rms,
+                    "block {b}: first differences {run:?}"
+                );
+            }
+        }
+    }
+
+    /// The designed section parameters: pole `p_k = exp(−2π·f_k/fs)` at
+    /// `f_k = corner/2^k` and gain `g_k = (1 − p_k)·2^{k/2}`.
+    fn designed_sections(corner: f64, fs: f64, n: usize) -> Vec<(f64, f64)> {
+        (0..n)
+            .map(|k| {
+                let p = (-2.0 * std::f64::consts::PI * corner / (1u64 << k) as f64 / fs).exp();
+                (p, (1.0 - p) * 2f64.powf(k as f64 / 2.0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flicker_sections_are_exact_ar1_at_update_instants() {
+        // Every section of the 80 Msps chain, observed at its update
+        // instants, is the AR(1) process with per-component stationary
+        // variance g²/(1 − p²) and lag-one correlation p^D.
+        let (corner, fs) = (100e3, 80e6);
+        let model = FlickerNoise::new(1e-6, corner, fs, Rng::new(1));
+        let design = designed_sections(corner, fs, model.sections.len());
+        let (warm, n) = (2_000, 200_000);
+        for (k, (sec, &(p, g))) in model.sections.iter().zip(&design).enumerate() {
+            let mut s = sec.clone();
+            let mut rng = Rng::new(100 + k as u64);
+            let mut xs = Vec::with_capacity(2 * n);
+            for i in 0..warm + n {
+                s.update(rng.complex_gaussian(2.0));
+                if i >= warm {
+                    xs.push(s.next);
+                }
+            }
+            let var = xs.iter().map(|x| x.norm_sqr()).sum::<f64>() / (2 * n) as f64;
+            let want_var = g * g / (1.0 - p * p);
+            // The estimate's relative sigma is ~1.2 % at ρ = 0.976.
+            assert!(
+                (var / want_var - 1.0).abs() < 0.06,
+                "section {k}: variance {var:e} vs {want_var:e}"
+            );
+            let lag1 = xs
+                .windows(2)
+                .map(|w| w[0].re * w[1].re + w[0].im * w[1].im)
+                .sum::<f64>()
+                / (2 * (n - 1)) as f64;
+            let rho = p.powi(sec.stride as i32);
+            assert!(
+                (lag1 / var - rho).abs() < 0.02,
+                "section {k}: lag-one correlation {} vs p^D = {rho}",
+                lag1 / var
+            );
+        }
+    }
+
+    /// Octave bands `[corner·2^m, corner·2^{m+1})` of the Welch PSD of
+    /// `x` against the designed staircase
+    /// `white_gain²·Σ_k 2·g_k² / |1 − p_k·e^{−jω}|²` per hertz (the drive
+    /// is `complex_gaussian(2.0)`), averaged over the band's bins of
+    /// both signs. Bands start at the first whose lower edge lies at
+    /// least 8 bins from DC (the lowest the Hann window resolves
+    /// without smoothing bias) and end at fs/2. Returns
+    /// `(band lower edge, measured/designed in dB)`.
+    fn octave_errors_db(
+        x: &[Complex],
+        nfft: usize,
+        floor_power: f64,
+        corner: f64,
+        fs: f64,
+        sections: usize,
+    ) -> Vec<(f64, f64)> {
+        let design = designed_sections(corner, fs, sections);
+        let white_gain2 = floor_power / 2.0;
+        let designed = |f: f64| -> f64 {
+            let w = 2.0 * std::f64::consts::PI * f / fs;
+            let sum: f64 = design
+                .iter()
+                .map(|&(p, g)| 2.0 * g * g / (1.0 - 2.0 * p * w.cos() + p * p))
+                .sum();
+            white_gain2 * sum / fs
+        };
+        let (freqs, psd) = welch_psd(x, nfft, fs);
+        let min_f = 8.0 * fs / nfft as f64;
+        let mut m = (min_f / corner).log2().ceil() as i32;
+        let mut out = Vec::new();
+        while corner * 2f64.powi(m) < fs / 2.0 {
+            let (lo, hi) = (corner * 2f64.powi(m), corner * 2f64.powi(m + 1));
+            let (mut got, mut want) = (0.0, 0.0);
+            for (&f, &p) in freqs.iter().zip(&psd) {
+                if f.abs() >= lo && f.abs() < hi {
+                    got += p;
+                    want += designed(f);
+                }
+            }
+            out.push((lo, lin_to_db(got / want)));
+            m += 1;
+        }
+        out
+    }
+
+    /// Runs the 80 Msps mixer-2 flicker (100 kHz corner) past its
+    /// warm-up and checks `n` samples against the designed staircase:
+    /// within ±0.5 dB per octave up to 4 × corner, and never more than
+    /// 0.5 dB above it beyond.
+    fn check_flicker_psd(n: usize, nfft: usize) {
+        let (floor, corner, fs) = (1e-9, 100e3, 80e6);
+        let mut f = FlickerNoise::new(floor, corner, fs, Rng::new(21));
+        // Four time constants of the slowest (98 Hz) section.
+        let mut x = vec![Complex::ZERO; 1 << 19];
+        f.add_scaled_to(&mut x, 1.0);
+        let mut x = vec![Complex::ZERO; n];
+        f.add_scaled_to(&mut x, 1.0);
+        let bands = octave_errors_db(&x, nfft, floor, corner, fs, f.sections.len());
+        assert!(bands.len() >= 8, "too few octaves: {bands:?}");
+        for &(lo, err) in &bands {
+            if 2.0 * lo <= 4.0 * corner {
+                assert!(
+                    err.abs() <= 0.5,
+                    "octave from {lo} Hz: {err:+.2} dB, {bands:?}"
+                );
+            } else {
+                assert!(
+                    err <= 0.5,
+                    "octave from {lo} Hz: {err:+.2} dB above, {bands:?}"
+                );
+            }
+        }
+        eprintln!("flicker PSD vs designed staircase: {bands:?}");
+    }
+
+    #[test]
+    fn flicker_psd_matches_designed_staircase() {
+        check_flicker_psd(1 << 22, 1 << 15);
+    }
+
+    /// The 2^23-sample version with 4× finer bins — opt in with
+    /// `WLANSIM_SLOW_TESTS=1`.
+    #[test]
+    fn flicker_psd_matches_designed_staircase_long() {
+        if std::env::var("WLANSIM_SLOW_TESTS").as_deref() != Ok("1") {
+            return;
+        }
+        check_flicker_psd(1 << 23, 1 << 17);
     }
 
     #[test]
     #[should_panic]
     fn flicker_bad_corner_panics() {
         let _ = FlickerNoise::new(1e-6, 1e6, 1e6, Rng::new(4));
+    }
+
+    #[test]
+    #[should_panic]
+    fn flicker_infinite_rate_panics() {
+        // No finite stride would satisfy the stride rule.
+        let _ = FlickerNoise::new(1e-6, 1e3, f64::INFINITY, Rng::new(4));
     }
 }

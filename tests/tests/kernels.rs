@@ -44,7 +44,8 @@ fn link_report_pins_ideal_seed_behavior() {
 
 /// RF-baseband link near sensitivity with an adjacent-channel
 /// interferer: pins the fused front-end chain (LNA → mixers → filters →
-/// AGC → ADC → decimation) plus the scene builder's RNG draw order.
+/// AGC → ADC → decimation), mixer 2's multirate flicker draw schedule
+/// and the scene builder's RNG draw order.
 #[test]
 fn link_report_pins_rf_baseband_seed_behavior() {
     let report = LinkSimulation::new(LinkConfig {
@@ -59,12 +60,12 @@ fn link_report_pins_rf_baseband_seed_behavior() {
     })
     .run();
 
-    assert_eq!(report.meter.errors(), 1322);
+    assert_eq!(report.meter.errors(), 1300);
     assert_eq!(report.meter.bits(), 2560);
     assert_eq!(report.meter.packets(), 4);
     assert_eq!(report.meter.packet_errors(), 4);
     assert_eq!(report.decoded_packets, 4);
-    assert_eq!(report.evm_db, Some(-7.230632560856826));
+    assert_eq!(report.evm_db, Some(-7.197322859687828));
 }
 
 /// Noisy LLRs for a random terminated codeword.

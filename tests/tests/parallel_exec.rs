@@ -8,8 +8,9 @@ use wlan_exec::{split_seed, ThreadPool};
 use wlan_meas::montecarlo::{run_sharded, EarlyStop, McPlan};
 use wlan_meas::BerMeter;
 use wlan_phy::Rate;
+use wlan_rf::receiver::RfConfig;
 use wlan_sim::experiments::{ip3, Effort, Engine};
-use wlan_sim::link::{FrontEnd, LinkConfig, LinkSimulation, McRun};
+use wlan_sim::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation, McRun, ShardReport};
 
 #[test]
 fn sweep_run_parallel_matches_serial_for_any_thread_count() {
@@ -57,6 +58,65 @@ fn link_ber_is_bit_identical_across_thread_counts() {
         assert_eq!(r.evm_db, base.evm_db);
         assert_eq!(r.packets, base.packets);
     }
+}
+
+/// Every field of a shard report, floats as bits.
+fn shard_bits(r: &ShardReport) -> (BerMeter, usize, u64, usize) {
+    (
+        r.meter,
+        r.decoded_packets,
+        r.evm_sum_db.to_bits(),
+        r.packets,
+    )
+}
+
+#[test]
+fn shards_reusing_a_thread_match_shards_on_fresh_threads() {
+    // `run_shard` keeps the thread's last packet arena for the next
+    // shard of the same rate, profile and osr. Interleave two RF
+    // configurations that differ in rate and osr on one thread, so the
+    // arena is alternately reused and rebuilt: every shard must equal
+    // the same shard run on a thread that has never run one.
+    let rf = |rate, osr, seed| {
+        LinkSimulation::new(LinkConfig {
+            rate,
+            psdu_len: 60,
+            packets: 4,
+            seed,
+            rx_level_dbm: -80.0,
+            adjacent: Some(AdjacentChannel::first()),
+            front_end: FrontEnd::RfBaseband(RfConfig::default()),
+            osr,
+            ..LinkConfig::default()
+        })
+    };
+    let a = rf(Rate::R24, 4, 11);
+    let b = rf(Rate::R54, 8, 12);
+    let schedule: [(&LinkSimulation, usize, usize, u64); 7] = [
+        (&a, 0, 1, 101),
+        (&a, 1, 1, 102),
+        (&b, 0, 1, 201),
+        (&a, 2, 2, 103),
+        (&b, 1, 1, 202),
+        (&b, 2, 2, 203),
+        (&a, 0, 1, 101),
+    ];
+    let mut decoded = 0;
+    for &(sim, first, packets, seed) in &schedule {
+        let reused = sim.run_shard(first, packets, seed);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| sim.run_shard(first, packets, seed))
+                .join()
+                .unwrap()
+        });
+        assert_eq!(
+            shard_bits(&reused),
+            shard_bits(&fresh),
+            "shard {first}+{packets} seed {seed}"
+        );
+        decoded += reused.decoded_packets;
+    }
+    assert!(decoded > 0, "workload must decode");
 }
 
 #[test]
