@@ -81,6 +81,17 @@ fn rf_config(packets: usize) -> LinkConfig {
     }
 }
 
+/// The blocking sweep's rate: osr 8 with the alternate (+40 MHz)
+/// channel, so the interpolator's history line, the scene and the RF
+/// chain run at 160 Msps.
+fn osr8_alternate_config(packets: usize) -> LinkConfig {
+    LinkConfig {
+        osr: 8,
+        adjacent: Some(AdjacentChannel::alternate()),
+        ..rf_config(packets)
+    }
+}
+
 /// The chunked mixed-signal co-simulation (small `analog_osr` keeps the
 /// RK4 engine affordable under a test harness).
 fn cosim_config(packets: usize) -> LinkConfig {
@@ -179,6 +190,12 @@ fn steady_state_link_loop_is_allocation_free() {
         "rf baseband serial",
         allocs_for(rf_config(2)),
         allocs_for(rf_config(8)),
+    );
+    let _ = allocs_for(osr8_alternate_config(1));
+    assert_steady_state(
+        "rf baseband osr 8 alternate serial",
+        allocs_for(osr8_alternate_config(2)),
+        allocs_for(osr8_alternate_config(8)),
     );
     // Mixed-signal co-simulation: the chunked device-major engine
     // reuses its expansion buffer across chunks and packets.

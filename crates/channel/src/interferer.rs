@@ -4,7 +4,7 @@
 //! signal was shifted by 20 MHz in the frequency domain; the baseband
 //! signal was over-sampled to fulfill the sampling theorem").
 
-use crate::level::{set_power, set_power_in_place};
+use crate::level::power_scale;
 use wlan_dsp::resample::{FrequencyShifter, Upsampler};
 use wlan_dsp::Complex;
 use wlan_units::{Dbm, Hz};
@@ -38,10 +38,8 @@ struct Emitter {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scene {
-    base_rate_hz: f64,
-    osr: usize,
+    renderer: SceneRenderer,
     emitters: Vec<Emitter>,
-    interp_taps: usize,
 }
 
 impl Scene {
@@ -52,24 +50,20 @@ impl Scene {
     ///
     /// Panics if `osr` is zero or the rate is not positive.
     pub fn new(base_rate_hz: f64, osr: usize) -> Self {
-        assert!(osr >= 1, "oversampling ratio must be >= 1");
-        assert!(base_rate_hz > 0.0, "sample rate must be positive");
         Scene {
-            base_rate_hz,
-            osr,
+            renderer: SceneRenderer::new(base_rate_hz, osr),
             emitters: Vec::new(),
-            interp_taps: 32,
         }
     }
 
     /// Oversampled rate of the rendered scene.
     pub fn sample_rate(&self) -> f64 {
-        self.base_rate_hz * self.osr as f64
+        self.renderer.sample_rate()
     }
 
     /// Oversampling ratio.
     pub fn osr(&self) -> usize {
-        self.osr
+        self.renderer.osr()
     }
 
     /// Adds an emitter: `samples` at the base rate, shifted to
@@ -95,13 +89,7 @@ impl Scene {
         power: Dbm,
         delay: usize,
     ) -> Self {
-        let fs = self.sample_rate();
-        assert!(
-            offset.0.abs() < fs / 2.0,
-            "offset {} outside ±{} Hz",
-            offset,
-            fs / 2.0
-        );
+        self.renderer.check_offset(offset);
         self.emitters.push(Emitter {
             samples: samples.to_vec(),
             offset,
@@ -112,38 +100,24 @@ impl Scene {
     }
 
     /// Renders the composite scene at the oversampled rate. Output length
-    /// covers the longest emitter (including its delay).
+    /// covers the longest emitter (including its delay); a zero-power
+    /// emitter contributes silence (see [`SceneRenderer::add_into`]).
     pub fn render(&self) -> Vec<Complex> {
-        let mut total_len = 0usize;
-        let mut parts: Vec<(usize, Vec<Complex>)> = Vec::new();
+        let mut renderer = self.renderer.clone();
+        let mut out = Vec::new();
         for e in &self.emitters {
-            // Upsample, scale to absolute power, then shift.
-            let mut up = Upsampler::new(self.osr, self.interp_taps);
-            let hi = up.process(&e.samples);
-            let scaled = set_power(&hi, e.power);
-            let mut shifter = FrequencyShifter::new(e.offset.0, self.sample_rate());
-            let shifted = shifter.process(&scaled);
-            total_len = total_len.max(e.delay + shifted.len());
-            parts.push((e.delay, shifted));
-        }
-        let mut out = vec![Complex::ZERO; total_len];
-        for (delay, sig) in parts {
-            for (i, v) in sig.into_iter().enumerate() {
-                out[delay + i] += v;
-            }
+            renderer.add_into(&e.samples, e.offset, e.power, e.delay, &mut out);
         }
         out
     }
 }
 
-/// Streaming, arena-backed counterpart of [`Scene`] for hot loops:
-/// emitters are rendered straight into a caller-owned accumulator, the
-/// interpolator and intermediate buffer are reused across emitters and
-/// packets (DESIGN §10 scratch-arena discipline), and sample slices are
-/// borrowed instead of copied. Per-emitter processing — fresh-state
-/// upsample, absolute power scale, frequency shift, delayed
-/// superposition — is bit-identical to [`Scene::render`] with the same
-/// emitters in the same order.
+/// The scene's emitter pipeline, for hot loops: emitters are rendered
+/// straight into a caller-owned accumulator, the interpolator and
+/// intermediate buffer are reused across emitters and packets (DESIGN
+/// §10 scratch-arena discipline), and sample slices are borrowed
+/// instead of copied. [`Scene::render`] is a loop over
+/// [`SceneRenderer::add_into`].
 #[derive(Debug, Clone)]
 pub struct SceneRenderer {
     base_rate_hz: f64,
@@ -182,12 +156,26 @@ impl SceneRenderer {
         self.osr
     }
 
+    /// Panics unless `offset` lies inside the rendered Nyquist range.
+    fn check_offset(&self, offset: Hz) {
+        let nyquist = self.sample_rate() / 2.0;
+        assert!(
+            offset.0.abs() < nyquist,
+            "offset {offset} outside ±{nyquist} Hz"
+        );
+    }
+
     /// Renders one emitter and adds it into `out` (which accumulates the
-    /// composite scene; clear it before the first emitter of a packet).
-    /// `out` grows with zero fill to `delay + osr·samples.len()` when
-    /// the emitter extends past the current scene end — it is never
-    /// truncated, so emitter insertion order matches [`Scene::render`]'s
-    /// superposition exactly.
+    /// composite scene; clear it before the first emitter of a packet):
+    /// a fresh-state upsample, then one pass that scales to `power`,
+    /// shifts to `offset` and adds at `delay`. `out` grows with zero
+    /// fill to `delay + osr·samples.len()` when the emitter extends past
+    /// the current scene end; it is never truncated.
+    ///
+    /// # Behaviour
+    ///
+    /// An emitter of zero (or NaN) mean power, such as an empty one,
+    /// renders as silence: `out` still grows, nothing is added.
     ///
     /// # Panics
     ///
@@ -200,26 +188,16 @@ impl SceneRenderer {
         delay: usize,
         out: &mut Vec<Complex>,
     ) {
-        let fs = self.sample_rate();
-        assert!(
-            offset.0.abs() < fs / 2.0,
-            "offset {} outside ±{} Hz",
-            offset,
-            fs / 2.0
-        );
-        // Fresh interpolator/oscillator state per emitter, like
-        // `Scene::render` constructing them anew.
+        self.check_offset(offset);
         self.up.reset();
         self.up.process_into(samples, &mut self.hi);
-        set_power_in_place(&mut self.hi, power);
-        let mut shifter = FrequencyShifter::new(offset.0, fs);
-        shifter.process_in_place(&mut self.hi);
         let end = delay + self.hi.len();
         if out.len() < end {
             out.resize(end, Complex::ZERO);
         }
-        for (o, &v) in out[delay..end].iter_mut().zip(self.hi.iter()) {
-            *o += v;
+        if let Some(k) = power_scale(&self.hi, power) {
+            let mut shifter = FrequencyShifter::new(offset.0, self.sample_rate());
+            shifter.add_scaled_into(&self.hi, k, &mut out[delay..end]);
         }
     }
 }

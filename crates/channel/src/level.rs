@@ -18,15 +18,20 @@ pub fn power_dbm(x: &[Complex]) -> f64 {
     power_level(x).0
 }
 
+/// The amplitude factor that brings `x` to mean power `target`, or
+/// `None` when `x` has zero (or NaN) power and so cannot be scaled.
+pub(crate) fn power_scale(x: &[Complex], target: Dbm) -> Option<f64> {
+    let p = mean_power(x) / 2.0;
+    (p > 0.0).then(|| (target.to_watts().0 / p).sqrt())
+}
+
 /// Scales `x` so its mean power equals `target`.
 ///
 /// # Panics
 ///
 /// Panics if `x` has zero power.
 pub fn set_power(x: &[Complex], target: Dbm) -> Vec<Complex> {
-    let p = mean_power(x) / 2.0;
-    assert!(p > 0.0, "cannot scale a zero-power signal");
-    let k = (target.to_watts().0 / p).sqrt();
+    let k = power_scale(x, target).expect("cannot scale a zero-power signal");
     x.iter().map(|&v| v * k).collect()
 }
 
@@ -36,9 +41,7 @@ pub fn set_power(x: &[Complex], target: Dbm) -> Vec<Complex> {
 ///
 /// Panics if `x` has zero power.
 pub fn set_power_in_place(x: &mut [Complex], target: Dbm) {
-    let p = mean_power(x) / 2.0;
-    assert!(p > 0.0, "cannot scale a zero-power signal");
-    let k = (target.to_watts().0 / p).sqrt();
+    let k = power_scale(x, target).expect("cannot scale a zero-power signal");
     for v in x.iter_mut() {
         *v *= k;
     }

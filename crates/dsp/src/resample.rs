@@ -10,11 +10,16 @@ use crate::complex::Complex;
 use crate::fir::{lowpass, Fir};
 use crate::window::Window;
 
+/// Consecutive outputs per branch that one upsampler block accumulates.
+const UP_BLOCK: usize = 8;
+
 /// Polyphase interpolator (upsampler) by an integer factor.
 ///
 /// Zero-stuffs by `factor` and applies an anti-imaging lowpass with a
 /// passband gain of `factor` so signal amplitude (and hence power of the
-/// in-band component) is preserved.
+/// in-band component) is preserved. Output `n·factor + p` is the direct
+/// form `Σ_k x[n−k]·h_p[k]`, summed `k = 0..taps_per_branch` from `+0.0`,
+/// with zero history before the first input.
 ///
 /// # Example
 ///
@@ -27,10 +32,12 @@ use crate::window::Window;
 #[derive(Debug, Clone)]
 pub struct Upsampler {
     factor: usize,
-    /// Polyphase branches: branch `p` holds taps `h[p], h[p+L], ...`.
-    branches: Vec<Vec<f64>>,
-    history: Vec<Complex>,
-    pos: usize,
+    taps: usize,
+    /// Branch `p` is `coeffs[p·taps..(p+1)·taps]`: taps `h[p], h[p+L], ...`.
+    coeffs: Vec<f64>,
+    /// The last `taps − 1` inputs, oldest first; during a call the frame
+    /// is appended behind them so every tap reads a linear slice.
+    line: Vec<Complex>,
 }
 
 impl Upsampler {
@@ -43,30 +50,20 @@ impl Upsampler {
     pub fn new(factor: usize, taps_per_branch: usize) -> Self {
         assert!(factor >= 1, "factor must be >= 1");
         assert!(taps_per_branch > 0, "need at least one tap per branch");
-        if factor == 1 {
-            return Upsampler {
-                factor,
-                branches: vec![vec![1.0]],
-                history: vec![Complex::ZERO],
-                pos: 0,
-            };
-        }
-        let total = factor * taps_per_branch;
+        let taps = taps_per_branch;
         // Cutoff at the original Nyquist (0.5/factor of the new rate) with
-        // a little margin; Kaiser beta 8 gives ~ -80 dB images.
-        let h = lowpass(0.5 / factor as f64 * 0.92, total, Window::Kaiser(8.0));
-        let branches = (0..factor)
-            .map(|p| {
-                (0..taps_per_branch)
-                    .map(|k| h[p + k * factor] * factor as f64)
-                    .collect()
-            })
+        // a little margin; Kaiser beta 8 gives ~ -80 dB images. (At factor
+        // 1 `process_into` is a plain copy and never reads the taps.)
+        let cutoff = 0.5 / factor as f64 * 0.92;
+        let h = lowpass(cutoff, factor * taps, Window::Kaiser(8.0));
+        let coeffs = (0..factor * taps)
+            .map(|i| h[i / taps + (i % taps) * factor] * factor as f64)
             .collect();
         Upsampler {
             factor,
-            branches,
-            history: vec![Complex::ZERO; taps_per_branch],
-            pos: 0,
+            taps,
+            coeffs,
+            line: vec![Complex::ZERO; taps - 1],
         }
     }
 
@@ -77,8 +74,7 @@ impl Upsampler {
 
     /// Resets the filter state.
     pub fn reset(&mut self) {
-        self.history.fill(Complex::ZERO);
-        self.pos = 0;
+        self.line.fill(Complex::ZERO);
     }
 
     /// Converts a frame of input samples to `factor·len` output samples.
@@ -89,27 +85,43 @@ impl Upsampler {
     }
 
     /// [`Upsampler::process`] into a caller-owned buffer (cleared first);
-    /// the only heap traffic is capacity growth.
+    /// only capacity growth (of `out` and the history line) allocates.
     pub fn process_into(&mut self, x: &[Complex], out: &mut Vec<Complex>) {
         out.clear();
         if self.factor == 1 {
             out.extend_from_slice(x);
             return;
         }
-        let tb = self.history.len();
-        out.reserve(x.len() * self.factor);
-        for &v in x {
-            self.history[self.pos] = v;
-            for branch in &self.branches {
-                let mut acc = Complex::ZERO;
-                let mut idx = self.pos;
-                for &t in branch {
-                    acc += self.history[idx] * t;
-                    idx = if idx == 0 { tb - 1 } else { idx - 1 };
+        self.line.extend_from_slice(x);
+        out.resize(x.len() * self.factor, Complex::ZERO);
+        let full = x.len() - x.len() % UP_BLOCK;
+        for n in (0..full).step_by(UP_BLOCK) {
+            self.block::<UP_BLOCK>(n, out);
+        }
+        for n in full..x.len() {
+            self.block::<1>(n, out);
+        }
+        self.line.drain(..x.len());
+    }
+
+    /// Outputs of inputs `n..n + B`, every branch: `B` independent
+    /// accumulators per branch, each summed in the direct form's order.
+    #[inline(always)]
+    fn block<const B: usize>(&self, n: usize, out: &mut [Complex]) {
+        let head = self.taps - 1;
+        let win = &self.line[n..n + head + B];
+        let out = &mut out[n * self.factor..(n + B) * self.factor];
+        for (p, h) in self.coeffs.chunks_exact(self.taps).enumerate() {
+            let mut acc = [Complex::ZERO; B];
+            for (k, &t) in h.iter().enumerate() {
+                let xs = &win[head - k..][..B];
+                for (a, &v) in acc.iter_mut().zip(xs) {
+                    *a += v * t;
                 }
-                out.push(acc);
             }
-            self.pos = (self.pos + 1) % tb;
+            for (b, a) in acc.into_iter().enumerate() {
+                out[b * self.factor + p] = a;
+            }
         }
     }
 }
@@ -205,10 +217,20 @@ impl FrequencyShifter {
         x.iter().map(|&v| self.push(v)).collect()
     }
 
-    /// Shifts a frame in place.
-    pub fn process_in_place(&mut self, x: &mut [Complex]) {
-        for v in x.iter_mut() {
-            *v = self.push(*v);
+    /// Adds `x` scaled by `k` and shifted into `out`, element by element:
+    /// `out[i] += push(x[i]·k)`, in one pass. With a phase increment of
+    /// exactly zero the phase never moves, so the per-sample phasor is
+    /// the constant `cis(phase)` and no sin/cos is evaluated.
+    pub fn add_scaled_into(&mut self, x: &[Complex], k: f64, out: &mut [Complex]) {
+        if self.phase_inc == 0.0 {
+            let rot = Complex::cis(self.phase);
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o += v * k * rot;
+            }
+        } else {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o += self.push(v * k);
+            }
         }
     }
 

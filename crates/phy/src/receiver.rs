@@ -12,7 +12,9 @@ use crate::preamble::long_training_symbol;
 use crate::profile::{OfdmProfile, IEEE_802_11A};
 use crate::puncture::depuncture_into;
 use crate::signal_field::{SignalDecoder, SignalError, SignalField};
-use crate::sync::{correct_cfo_into_at, detect_packet_in, fine_cfo_at, locate_ltf_with};
+use crate::sync::{
+    correct_cfo_into_at, correct_cfo_range_into, detect_packet_in, fine_cfo_at, locate_ltf_with,
+};
 use crate::viterbi::{Llr, ViterbiDecoder};
 use wlan_dsp::Complex;
 
@@ -127,7 +129,8 @@ pub struct RxScratch {
     r: Vec<f64>,
     /// LTF cross-correlation values.
     xcorr: Vec<Complex>,
-    /// Coarse-CFO-corrected samples (timing/fine-CFO estimation).
+    /// Coarse-CFO-corrected LTF search window (timing/fine-CFO
+    /// estimation).
     coarse: Vec<Complex>,
     /// Total-CFO-corrected samples (decoding input).
     corrected: Vec<Complex>,
@@ -273,30 +276,35 @@ impl Receiver {
             &mut scratch.r,
         )
         .ok_or(RxError::NotDetected)?;
-        correct_cfo_into_at(
-            samples,
-            det.coarse_cfo_hz,
-            profile.sample_rate,
-            &mut scratch.coarse,
-        );
 
         // The LTF body 1 nominally sits stf_len + ltf_guard (192 for
         // 802.11a) samples after the STF start; search a generous window
         // around it, scaled with the FFT size.
-        let w_lo = (det.start + (150 * n) / 64).min(scratch.coarse.len());
-        let w_hi = (det.start + (280 * n) / 64).min(scratch.coarse.len());
+        let w_lo = (det.start + (150 * n) / 64).min(samples.len());
+        let w_hi = (det.start + (280 * n) / 64).min(samples.len());
         if w_lo >= w_hi {
             return Err(RxError::LtfNotFound);
         }
-        let ltf1 = locate_ltf_with(
-            &scratch.coarse,
-            &self.ltf[..n],
-            w_lo..w_hi,
-            &mut scratch.xcorr,
-        )
-        .ok_or(RxError::LtfNotFound)?;
+        // The LTF search and the fine estimate read only
+        // `[w_lo, w_hi + 2n)`, so only that window is coarse-derotated
+        // (`scratch.coarse[i]` is sample `w_lo + i`).
+        correct_cfo_range_into(
+            samples,
+            w_lo..(w_hi + 2 * n).min(samples.len()),
+            det.coarse_cfo_hz,
+            profile.sample_rate,
+            &mut scratch.coarse,
+        );
+        let ltf1 = w_lo
+            + locate_ltf_with(
+                &scratch.coarse,
+                &self.ltf[..n],
+                0..w_hi - w_lo,
+                &mut scratch.xcorr,
+            )
+            .ok_or(RxError::LtfNotFound)?;
 
-        let fine = fine_cfo_at(&scratch.coarse, ltf1, n, profile.sample_rate)
+        let fine = fine_cfo_at(&scratch.coarse, ltf1 - w_lo, n, profile.sample_rate)
             .ok_or(RxError::LtfNotFound)?;
         let total_cfo = det.coarse_cfo_hz + fine;
         correct_cfo_into_at(
@@ -656,6 +664,82 @@ mod tests {
             Err(RxError::Truncated { .. }) | Err(RxError::LtfNotFound) => {}
             other => panic!("expected truncation, got {other:?}"),
         }
+    }
+
+    /// `receive_into` as it was before the coarse pass was trimmed to the
+    /// LTF window: derotate the whole input, search it in place.
+    fn receive_whole_coarse(
+        rx: &Receiver,
+        samples: &[Complex],
+        scratch: &mut RxScratch,
+    ) -> Result<RxSummary, RxError> {
+        let profile = rx.profile();
+        let n = profile.fft_size;
+        let det = detect_packet_in(
+            samples,
+            rx.detection_threshold,
+            rx.detection_run,
+            profile.stf_period(),
+            profile.sample_rate,
+            &mut scratch.p,
+            &mut scratch.r,
+        )
+        .ok_or(RxError::NotDetected)?;
+        let mut coarse = Vec::new();
+        correct_cfo_into_at(samples, det.coarse_cfo_hz, profile.sample_rate, &mut coarse);
+        let w_lo = (det.start + (150 * n) / 64).min(coarse.len());
+        let w_hi = (det.start + (280 * n) / 64).min(coarse.len());
+        if w_lo >= w_hi {
+            return Err(RxError::LtfNotFound);
+        }
+        let ltf1 = locate_ltf_with(&coarse, &rx.ltf[..n], w_lo..w_hi, &mut scratch.xcorr)
+            .ok_or(RxError::LtfNotFound)?;
+        let fine =
+            fine_cfo_at(&coarse, ltf1, n, profile.sample_rate).ok_or(RxError::LtfNotFound)?;
+        let total_cfo = det.coarse_cfo_hz + fine;
+        correct_cfo_into_at(
+            samples,
+            total_cfo,
+            profile.sample_rate,
+            &mut scratch.corrected,
+        );
+        rx.decode_from_into(ltf1, total_cfo, scratch)
+    }
+
+    #[test]
+    fn windowed_coarse_pass_matches_whole_buffer_near_truncation() {
+        // Cut a noisy, frequency-offset burst at every length from just
+        // after detection through the LTF window's far edge into the
+        // DATA field: the outcome (error variant, or decoded bits, CFO
+        // and EVM) must equal the whole-buffer coarse pass's.
+        let burst = Transmitter::new(Rate::R12).transmit(&[0x5A; 40]);
+        let x = impaired(&burst.samples, 90, 37e3, 25.0, 21);
+        let rx = Receiver::new();
+        let (mut got_s, mut want_s) = (RxScratch::default(), RxScratch::default());
+        let mut outcomes = [0usize; 3];
+        for len in (150..=700).chain([x.len()]) {
+            let got = rx.receive_into(&x[..len], &mut got_s);
+            let want = receive_whole_coarse(&rx, &x[..len], &mut want_s);
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    assert_eq!(got_s.psdu, want_s.psdu, "len {len}");
+                    assert_eq!(g.cfo_hz.to_bits(), w.cfo_hz.to_bits(), "len {len}");
+                    assert_eq!(g.evm_rms.to_bits(), w.evm_rms.to_bits(), "len {len}");
+                    outcomes[0] += 1;
+                }
+                (Err(g), Err(w)) => {
+                    assert_eq!(g, w, "len {len}");
+                    match g {
+                        RxError::LtfNotFound => outcomes[1] += 1,
+                        RxError::Truncated { .. } => outcomes[2] += 1,
+                        _ => {}
+                    }
+                }
+                _ => panic!("len {len}: trimmed {got:?} vs whole {want:?}"),
+            }
+        }
+        // Every regime occurs: decoded, LTF window cut, truncated DATA.
+        assert!(outcomes.iter().all(|&c| c > 0), "{outcomes:?}");
     }
 
     #[test]

@@ -113,14 +113,31 @@ pub fn correct_cfo_into_at(
     sample_rate: f64,
     out: &mut Vec<Complex>,
 ) {
+    correct_cfo_range_into(samples, 0..samples.len(), cfo_hz, sample_rate, out);
+}
+
+/// [`correct_cfo_into_at`] over `samples[range]` only: `out[i]` is
+/// sample `range.start + i` derotated at its absolute index, so it equals
+/// that element of the whole-buffer correction bit for bit.
+///
+/// # Panics
+///
+/// Panics if `range` is out of bounds of `samples`.
+pub(crate) fn correct_cfo_range_into(
+    samples: &[Complex],
+    range: std::ops::Range<usize>,
+    cfo_hz: f64,
+    sample_rate: f64,
+    out: &mut Vec<Complex>,
+) {
     let w = -2.0 * std::f64::consts::PI * cfo_hz / sample_rate;
     out.clear();
-    out.reserve(samples.len());
+    out.reserve(range.len());
     out.extend(
-        samples
+        samples[range.clone()]
             .iter()
-            .enumerate()
-            .map(|(n, &x)| x * Complex::cis(w * n as f64)),
+            .zip(range)
+            .map(|(&x, n)| x * Complex::cis(w * n as f64)),
     );
 }
 
