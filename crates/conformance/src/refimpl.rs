@@ -17,6 +17,7 @@
 //! so the check is anchored to the document, not to either program.
 
 use wlan_dsp::{Complex, Rng};
+use wlan_units::{Db, Dbm};
 
 /// §17.3.5.4: the 127-bit output of the scrambler seeded with all
 /// ones, packed MSB-first (the 128th bit of the last byte is padding).
@@ -453,6 +454,65 @@ pub fn flicker_reference(
             acc * white_gain
         })
         .collect()
+}
+
+/// The exact-trig oscillator: `x[n]·cis(φ_n)` with `φ_0 = 0` and
+/// `φ_{n+1} = φ_n + step()`, one libm sine and cosine per sample.
+/// Returns the output and the final phase.
+///
+/// This is the per-sample oscillator `wlan_dsp::resample::FrequencyShifter`
+/// and `wlan_rf::phase_noise::PhaseNoise` ran before they became
+/// `wlan_dsp::rotor::Rotor`s, kept as their test reference: the rotor
+/// must stay within `1e-12·|x|` of it, and reproduce it bit for bit
+/// when every step is zero.
+pub fn exact_oscillator(x: &[Complex], mut step: impl FnMut() -> f64) -> (Vec<Complex>, f64) {
+    let mut phase = 0.0f64;
+    let y = x
+        .iter()
+        .map(|&v| {
+            let y = v * Complex::cis(phase);
+            phase += step();
+            y
+        })
+        .collect();
+    (y, phase)
+}
+
+/// A frequency shift by `shift_hz` at `sample_rate_hz` through
+/// [`exact_oscillator`]: the phase accumulates `2π·shift/fs` per sample.
+pub fn tone_shift_reference(x: &[Complex], shift_hz: f64, sample_rate_hz: f64) -> Vec<Complex> {
+    let inc = 2.0 * std::f64::consts::PI * shift_hz / sample_rate_hz;
+    exact_oscillator(x, || inc).0
+}
+
+/// Wiener LO phase noise of `linewidth_hz` at `sample_rate_hz` through
+/// [`exact_oscillator`]: the phase steps by `σ·g` with
+/// `σ = √(2π·linewidth/fs)` and `g` the successive `rng.gaussian()`
+/// draws. Returns the output and the final phase.
+pub fn phase_noise_reference(
+    x: &[Complex],
+    linewidth_hz: f64,
+    sample_rate_hz: f64,
+    mut rng: Rng,
+) -> (Vec<Complex>, f64) {
+    let sigma = (2.0 * std::f64::consts::PI * linewidth_hz / sample_rate_hz).sqrt();
+    exact_oscillator(x, || sigma * rng.gaussian())
+}
+
+/// The Rapp amplifier in its `powf` form: `v = a1·u`,
+/// `y = v / (1 + (|v|/v_sat)^{2p})^{1/(2p)}`, with `v_sat` putting the
+/// input-referred 1 dB compression point at `p1db_dbm`.
+///
+/// This is the expression `wlan_rf::nonlinearity` evaluated for every
+/// smoothness `p` before its closed form for `p = 2`; it must still
+/// match that closed form to `1e-15` relative, and any other `p` bit for
+/// bit.
+pub fn rapp_reference(u: Complex, a1: f64, p1db_dbm: f64, p: f64) -> Complex {
+    let a1db = Dbm(p1db_dbm).to_amplitude().0;
+    let vsat = a1 * a1db / (Db(p).to_linear() - 1.0).powf(1.0 / (2.0 * p));
+    let v = u * a1;
+    let r = v.abs() / vsat;
+    v * (1.0 + r.powf(2.0 * p)).powf(-1.0 / (2.0 * p))
 }
 
 #[cfg(test)]

@@ -41,24 +41,6 @@ impl Biquad {
         y
     }
 
-    /// Runs the recurrence over a frame in place with coefficients and
-    /// state in registers; the same arithmetic as [`Biquad::push`] per
-    /// sample, so bit-identical.
-    pub fn process_in_place(&mut self, x: &mut [Complex]) {
-        let [b0, b1, b2] = self.b;
-        let [a0, a1] = self.a;
-        let (mut s1, mut s2) = (self.s1, self.s2);
-        for v in x.iter_mut() {
-            let xs = *v;
-            let y = xs * b0 + s1;
-            s1 = xs * b1 - y * a0 + s2;
-            s2 = xs * b2 - y * a1;
-            *v = y;
-        }
-        self.s1 = s1;
-        self.s2 = s2;
-    }
-
     /// Clears the filter state.
     pub fn reset(&mut self) {
         self.s1 = Complex::ZERO;
@@ -134,16 +116,32 @@ impl Sos {
         x.iter().map(|&v| self.push(v)).collect()
     }
 
-    /// Filters a frame in place, section-major: the gain pass and then
-    /// each biquad run over the whole frame. Each section is an LTI state
-    /// machine fed the previous section's full output sequence, exactly
-    /// as in per-sample [`Sos::push`], so the result is bit-identical.
+    /// Filters a frame in place, sample-major: each sample passes the
+    /// gain and every section before the next sample starts, with the
+    /// coefficients and states in locals. This is the arithmetic of
+    /// per-sample [`Sos::push`], so the result is bit-identical, but
+    /// the sections' recurrences overlap in time instead of running one
+    /// after another. Cascades longer than four sections run as
+    /// consecutive groups of up to four over the frame (the gain in the
+    /// first).
     pub fn process_in_place(&mut self, x: &mut [Complex]) {
-        for v in x.iter_mut() {
-            *v *= self.gain;
-        }
-        for s in self.sections.iter_mut() {
-            s.process_in_place(x);
+        let mut gain = self.gain;
+        let mut rest = &mut self.sections[..];
+        loop {
+            let (group, tail) = rest.split_at_mut(rest.len().min(SOS_GROUP));
+            match group.len() {
+                0 => cascade::<0>(group, gain, x),
+                1 => cascade::<1>(group, gain, x),
+                2 => cascade::<2>(group, gain, x),
+                3 => cascade::<3>(group, gain, x),
+                _ => cascade::<SOS_GROUP>(group, gain, x),
+            }
+            if tail.is_empty() {
+                break;
+            }
+            // Multiplying by 1.0 is exact, so later groups add no rounding.
+            gain = 1.0;
+            rest = tail;
         }
     }
 
@@ -207,6 +205,36 @@ impl Sos {
             dp += 2.0 * std::f64::consts::PI;
         }
         -dp / (2.0 * std::f64::consts::PI * 2.0 * df)
+    }
+}
+
+/// Largest number of sections [`Sos::process_in_place`] steps per
+/// sample with all states in locals.
+const SOS_GROUP: usize = 4;
+
+/// Runs `S` sections sample-major over `x`: input gain, then each
+/// section's direct form II transposed step, the expressions of
+/// [`Biquad::push`] exactly.
+#[inline(always)]
+fn cascade<const S: usize>(sections: &mut [Biquad], gain: f64, x: &mut [Complex]) {
+    let sections: &mut [Biquad; S] = sections.try_into().expect("group of S sections");
+    let b: [[f64; 3]; S] = std::array::from_fn(|k| sections[k].b);
+    let a: [[f64; 2]; S] = std::array::from_fn(|k| sections[k].a);
+    let mut s1: [Complex; S] = std::array::from_fn(|k| sections[k].s1);
+    let mut s2: [Complex; S] = std::array::from_fn(|k| sections[k].s2);
+    for v in x.iter_mut() {
+        let mut y = *v * gain;
+        for k in 0..S {
+            let xs = y;
+            y = xs * b[k][0] + s1[k];
+            s1[k] = xs * b[k][1] - y * a[k][0] + s2[k];
+            s2[k] = xs * b[k][2] - y * a[k][1];
+        }
+        *v = y;
+    }
+    for (k, s) in sections.iter_mut().enumerate() {
+        s.s1 = s1[k];
+        s.s2 = s2[k];
     }
 }
 
@@ -356,6 +384,77 @@ mod tests {
         assert!(gd_mid > 0.5, "mid-band delay {gd_mid}");
         // Chebyshev group delay peaks near the band edge.
         assert!(gd_edge > gd_mid, "edge {gd_edge} vs mid {gd_mid}");
+    }
+
+    /// The section-major cascade: the gain pass, then each section run
+    /// over the whole frame.
+    fn section_major(sections: &mut [Biquad], gain: f64, x: &mut [Complex]) {
+        for v in x.iter_mut() {
+            *v *= gain;
+        }
+        for s in sections.iter_mut() {
+            for v in x.iter_mut() {
+                *v = s.push(*v);
+            }
+        }
+    }
+
+    #[test]
+    fn sample_major_cascade_matches_section_major_bit_exact() {
+        use crate::design::{butterworth, chebyshev1, FilterKind};
+        let mut rng = crate::Rng::new(17);
+        let x: Vec<Complex> = (0..700).map(|_| rng.complex_gaussian(1.0)).collect();
+        // Frames of 0, 1, 7 and 63 samples, then the rest, so states
+        // carry across every kind of boundary.
+        let cuts = [0, 1, 7, 63, x.len() - 71];
+        let kinds = [FilterKind::Lowpass, FilterKind::Highpass];
+        // Orders 1–10 give 1–5 sections; 12 adds a second group.
+        for order in (1..=10).chain([12]) {
+            for (k, kind) in kinds.into_iter().enumerate() {
+                let designs = [
+                    butterworth(order, kind, 3e6 + 1e6 * k as f64, 80e6),
+                    chebyshev1(order, 0.5, kind, 8e6, 80e6),
+                ];
+                for sos in designs {
+                    assert_eq!(sos.len(), order.div_ceil(2));
+                    let mut fast = sos.clone();
+                    let mut slow = sos.clone();
+                    let mut slow_sections = slow.sections.clone();
+                    let mut one = sos.clone();
+                    let (mut got, mut want) = (x.clone(), x.clone());
+                    let mut start = 0;
+                    for c in cuts {
+                        fast.process_in_place(&mut got[start..start + c]);
+                        section_major(&mut slow_sections, slow.gain, &mut want[start..start + c]);
+                        start += c;
+                    }
+                    slow.sections = slow_sections;
+                    let pushed: Vec<Complex> = x.iter().map(|&v| one.push(v)).collect();
+                    for (i, ((g, w), p)) in got.iter().zip(&want).zip(&pushed).enumerate() {
+                        let what = format!("order {order} {kind:?}: sample {i}");
+                        assert_eq!(
+                            (g.re.to_bits(), g.im.to_bits()),
+                            (w.re.to_bits(), w.im.to_bits()),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            (g.re.to_bits(), g.im.to_bits()),
+                            (p.re.to_bits(), p.im.to_bits()),
+                            "{what}"
+                        );
+                    }
+                    // The carried states agree too.
+                    for (f, s) in fast.sections.iter().zip(&slow.sections) {
+                        assert_eq!((f.s1, f.s2), (s.s1, s.s2), "order {order} {kind:?}");
+                    }
+                }
+            }
+        }
+        // No sections: a pure gain.
+        let mut g = Sos::new(Vec::new(), 0.5);
+        let mut y = x.clone();
+        g.process_in_place(&mut y);
+        assert!(y.iter().zip(&x).all(|(a, b)| *a == *b * 0.5));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`fir`] / [`iir`] / [`design`] — FIR and IIR filtering plus classic
 //!   analog-prototype filter design (Butterworth, Chebyshev I) via the
 //!   bilinear transform
-//! * [`resample`] — integer-factor polyphase resampling
+//! * [`resample`] — integer-factor polyphase resampling and frequency
+//!   shifting
+//! * [`rotor`] — trig-free oscillator phasor with exact re-anchoring
 //! * [`spectrum`] — Welch power-spectral-density estimation
 //! * [`goertzel`] — single-bin DFT for tone measurements
 //! * [`rng`] — deterministic xoshiro256** random source with uniform and
@@ -43,6 +45,7 @@ pub mod iir;
 pub mod math;
 pub mod resample;
 pub mod rng;
+pub mod rotor;
 pub mod spectrum;
 pub mod window;
 

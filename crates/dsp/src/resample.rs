@@ -8,6 +8,7 @@
 
 use crate::complex::Complex;
 use crate::fir::{lowpass, Fir};
+use crate::rotor::Rotor;
 use crate::window::Window;
 
 /// Consecutive outputs per branch that one upsampler block accumulates.
@@ -185,10 +186,16 @@ impl Downsampler {
 }
 
 /// Frequency shifter: multiplies by `e^{j2π·f·n/fs}` with persistent phase.
+///
+/// The oscillator is a [`Rotor`] tone: one complex multiply per sample,
+/// re-anchored to the exact `cis` of `2π·frac(f·n/fs)` every
+/// [`crate::rotor::ANCHOR`] samples of the absolute count `n` (from
+/// construction or [`FrequencyShifter::reset`]), so no sin/cos runs
+/// between anchors and the phase does not drift. A shift of `±0.0`
+/// multiplies every sample by exactly `(1, 0)`.
 #[derive(Debug, Clone)]
 pub struct FrequencyShifter {
-    phase_inc: f64,
-    phase: f64,
+    rotor: Rotor,
 }
 
 impl FrequencyShifter {
@@ -196,19 +203,15 @@ impl FrequencyShifter {
     /// `sample_rate_hz`.
     pub fn new(shift_hz: f64, sample_rate_hz: f64) -> Self {
         FrequencyShifter {
-            phase_inc: 2.0 * std::f64::consts::PI * shift_hz / sample_rate_hz,
-            phase: 0.0,
+            rotor: Rotor::tone(shift_hz / sample_rate_hz),
         }
     }
 
     /// Shifts one sample.
     #[inline]
     pub fn push(&mut self, x: Complex) -> Complex {
-        let y = x * Complex::cis(self.phase);
-        self.phase += self.phase_inc;
-        if self.phase.abs() > 1e12 {
-            self.phase %= 2.0 * std::f64::consts::PI;
-        }
+        let y = x * self.rotor.phasor();
+        self.rotor.step();
         y
     }
 
@@ -218,25 +221,16 @@ impl FrequencyShifter {
     }
 
     /// Adds `x` scaled by `k` and shifted into `out`, element by element:
-    /// `out[i] += push(x[i]·k)`, in one pass. With a phase increment of
-    /// exactly zero the phase never moves, so the per-sample phasor is
-    /// the constant `cis(phase)` and no sin/cos is evaluated.
+    /// `out[i] += push(x[i]·k)`, in one pass.
     pub fn add_scaled_into(&mut self, x: &[Complex], k: f64, out: &mut [Complex]) {
-        if self.phase_inc == 0.0 {
-            let rot = Complex::cis(self.phase);
-            for (o, &v) in out.iter_mut().zip(x) {
-                *o += v * k * rot;
-            }
-        } else {
-            for (o, &v) in out.iter_mut().zip(x) {
-                *o += self.push(v * k);
-            }
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o += self.push(v * k);
         }
     }
 
-    /// Resets the oscillator phase.
+    /// Resets the oscillator to phase 0 and sample 0.
     pub fn reset(&mut self) {
-        self.phase = 0.0;
+        self.rotor.reset();
     }
 }
 

@@ -18,7 +18,10 @@
 //!
 //! `y = G·u / (1 + (|G·u|/v_sat)^{2p})^{1/(2p)}`; `v_sat` is derived from
 //! the requested input-referred 1 dB compression point. Smoothness `p`
-//! defaults to 2 (typical solid-state PA fit).
+//! defaults to 2 (typical solid-state PA fit). At `p = 2` the model is
+//! evaluated in closed form without `powf`: with `v = G·u` and
+//! `s = |v|²/v_sat²`, `y = v · 1/√√(1 + s²)`. Any other `p` takes the
+//! `powf` form.
 
 use wlan_dsp::Complex;
 use wlan_units::{Db, Dbm};
@@ -74,16 +77,21 @@ impl Nonlinearity {
             }
             Nonlinearity::Rapp {
                 p1db_dbm,
-                smoothness,
+                smoothness: p,
             } => {
-                let p = smoothness;
-                let a1db = p1db_dbm.to_amplitude().0;
-                let vsat = a1 * a1db / (Db(p).to_linear() - 1.0).powf(1.0 / (2.0 * p));
-                PreparedNonlinearity::Rapp {
-                    a1,
-                    vsat,
-                    two_p: 2.0 * p,
-                    neg_inv_two_p: -1.0 / (2.0 * p),
+                let vsat = rapp_vsat(p1db_dbm, p, a1);
+                if p == 2.0 {
+                    PreparedNonlinearity::Rapp2 {
+                        a1,
+                        vsat_sq: vsat * vsat,
+                    }
+                } else {
+                    PreparedNonlinearity::Rapp {
+                        a1,
+                        vsat,
+                        two_p: 2.0 * p,
+                        neg_inv_two_p: -1.0 / (2.0 * p),
+                    }
                 }
             }
         }
@@ -111,14 +119,15 @@ impl Nonlinearity {
             }
             Nonlinearity::Rapp {
                 p1db_dbm,
-                smoothness,
+                smoothness: p,
             } => {
-                let p = smoothness;
-                let a1db = p1db_dbm.to_amplitude().0;
-                let vsat = a1 * a1db / (Db(p).to_linear() - 1.0).powf(1.0 / (2.0 * p));
+                let vsat = rapp_vsat(p1db_dbm, p, a1);
                 let v = u * a1;
-                let r = v.abs() / vsat;
-                v * (1.0 + r.powf(2.0 * p)).powf(-1.0 / (2.0 * p))
+                if p == 2.0 {
+                    rapp2(v, vsat * vsat)
+                } else {
+                    rapp(v, vsat, 2.0 * p, -1.0 / (2.0 * p))
+                }
             }
         }
     }
@@ -147,7 +156,15 @@ pub enum PreparedNonlinearity {
         /// Saturated output amplitude past the clamp.
         y_max: f64,
     },
-    /// Rapp with the saturation voltage precomputed.
+    /// Rapp at smoothness 2, in closed form with `v_sat²` precomputed.
+    Rapp2 {
+        /// Linear amplitude gain.
+        a1: f64,
+        /// Squared saturation voltage.
+        vsat_sq: f64,
+    },
+    /// Rapp at any other smoothness, with the saturation voltage
+    /// precomputed.
     Rapp {
         /// Linear amplitude gain.
         a1: f64,
@@ -180,18 +197,38 @@ impl PreparedNonlinearity {
                     u.signum() * y_max
                 }
             }
+            PreparedNonlinearity::Rapp2 { a1, vsat_sq } => rapp2(u * a1, vsat_sq),
             PreparedNonlinearity::Rapp {
                 a1,
                 vsat,
                 two_p,
                 neg_inv_two_p,
-            } => {
-                let v = u * a1;
-                let r = v.abs() / vsat;
-                v * (1.0 + r.powf(two_p)).powf(neg_inv_two_p)
-            }
+            } => rapp(u * a1, vsat, two_p, neg_inv_two_p),
         }
     }
+}
+
+/// The output saturation voltage that puts the 1 dB compression point of
+/// a smoothness-`p` Rapp stage of gain `a1` at `p1db_dbm` (input).
+fn rapp_vsat(p1db_dbm: Dbm, p: f64, a1: f64) -> f64 {
+    a1 * p1db_dbm.to_amplitude().0 / (Db(p).to_linear() - 1.0).powf(1.0 / (2.0 * p))
+}
+
+/// Smoothness-2 Rapp of the amplified sample `v`:
+/// `v · (1 + s²)^{−1/4}` with `s = |v|²/v_sat²`, two square roots
+/// instead of two `powf`.
+#[inline(always)]
+fn rapp2(v: Complex, vsat_sq: f64) -> Complex {
+    let s = v.norm_sqr() / vsat_sq;
+    v * (1.0 / (1.0 + s * s).sqrt().sqrt())
+}
+
+/// General-smoothness Rapp of the amplified sample `v`:
+/// `v · (1 + (|v|/v_sat)^{2p})^{−1/(2p)}`.
+#[inline(always)]
+fn rapp(v: Complex, vsat: f64, two_p: f64, neg_inv_two_p: f64) -> Complex {
+    let r = v.abs() / vsat;
+    v * (1.0 + r.powf(two_p)).powf(neg_inv_two_p)
 }
 
 /// The cubic model's theoretical 1 dB compression point, 9.6 dB below
@@ -353,6 +390,64 @@ mod tests {
                         "{nl:?} a1 {a1}: {want:?} != {got:?}"
                     );
                 }
+            }
+        }
+    }
+
+    fn assert_same_bits(got: Complex, want: Complex, what: &str) {
+        assert!(
+            got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
+            "{what}: {got:?} != {want:?}"
+        );
+    }
+
+    #[test]
+    fn rapp2_closed_form_matches_powf_reference() {
+        // |u| log-spaced from 1e-6 to 1e3·v_sat, at random phases, plus
+        // exactly zero: the closed form stays within 1e-15 relative of
+        // the `powf` form, and `apply` and `prepare` agree bit for bit.
+        use wlan_conformance::refimpl::rapp_reference;
+        use wlan_dsp::Rng;
+        let mut rng = Rng::new(2020);
+        let mut worst = 0.0f64;
+        for (p1, a1) in [(-5.0, 5.623_413_251_903_491), (-20.0, 1.0), (3.0, 0.25)] {
+            let nl = Nonlinearity::rapp(Dbm(p1));
+            let prep = nl.prepare(a1);
+            let (lo, hi) = (1e-6f64.log10(), (1e3 * rapp_vsat(Dbm(p1), 2.0, a1)).log10());
+            let n = 20_000;
+            for i in 0..=n {
+                let amp = 10f64.powf(lo + (hi - lo) * i as f64 / n as f64);
+                let phi = rng.uniform_range(-std::f64::consts::PI, std::f64::consts::PI);
+                let u = Complex::from_polar(amp, phi);
+                let got = prep.apply(u);
+                assert_same_bits(nl.apply(u, a1), got, "apply vs prepare");
+                let want = rapp_reference(u, a1, p1, 2.0);
+                worst = worst.max((got - want).abs() / want.abs());
+            }
+            let zero = prep.apply(Complex::ZERO);
+            assert_same_bits(zero, Complex::ZERO, "zero input");
+            assert_same_bits(zero, rapp_reference(Complex::ZERO, a1, p1, 2.0), "zero ref");
+        }
+        assert!(worst <= 1e-15, "worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn rapp_other_smoothness_keeps_powf_bits() {
+        use wlan_conformance::refimpl::rapp_reference;
+        use wlan_dsp::Rng;
+        let mut rng = Rng::new(2021);
+        for p in [1.0, 1.5, 2.5, 3.0] {
+            let nl = Nonlinearity::Rapp {
+                p1db_dbm: Dbm(-8.0),
+                smoothness: p,
+            };
+            let prep = nl.prepare(3.0);
+            for _ in 0..2000 {
+                let amp = 10f64.powf(rng.uniform_range(-6.0, 1.0));
+                let u = Complex::from_polar(amp, rng.uniform_range(-3.0, 3.0));
+                let want = rapp_reference(u, 3.0, -8.0, p);
+                assert_same_bits(nl.apply(u, 3.0), want, &format!("apply, p {p}"));
+                assert_same_bits(prep.apply(u), want, &format!("prepare, p {p}"));
             }
         }
     }

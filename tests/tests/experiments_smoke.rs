@@ -37,8 +37,17 @@ fn fig6_smoke() {
 
 #[test]
 fn table2_smoke() {
-    let r = table2::run(&[1], 40, 4, 4);
-    assert!(r.rows[0].ratio() > 1.0);
+    // One packet per mode is a single wall-clock sample, which a busy
+    // sibling test can invert; time each mode as the fastest of 3 runs,
+    // like the Table 2 ratio tests in the experiment module.
+    let mut r = table2::run(&[1], 40, 4, 4);
+    for _ in 1..3 {
+        let again = table2::run(&[1], 40, 4, 4);
+        let (best, row) = (&mut r.rows[0], &again.rows[0]);
+        best.baseband = best.baseband.min(row.baseband);
+        best.cosim = best.cosim.min(row.cosim);
+    }
+    assert!(r.rows[0].ratio() > 1.0, "ratio {}", r.rows[0].ratio());
 }
 
 #[test]
