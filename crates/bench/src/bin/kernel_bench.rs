@@ -2,7 +2,9 @@
 //! (Viterbi decode, 64-point FFT, fused RF front-end chain, co-simulated
 //! analog engine) against their serial reference implementations, plus
 //! the end-to-end single-thread link throughput in packets/s, written to
-//! `BENCH_kernels.json` for the repo's perf trajectory (paper §4.2).
+//! `BENCH_kernels.json` for the repo's perf trajectory (paper §4.2). A
+//! smoke run writes `target/bench-smoke/BENCH_kernels.json` instead, so
+//! it never overwrites the committed full-run figures.
 //!
 //! Every optimized kernel must be *bit-identical* to its reference —
 //! the same guarantee the golden files and Annex G gates enforce. The
@@ -11,7 +13,8 @@
 //! binary as a regression gate.
 //!
 //! Environment:
-//! * `WLANSIM_BENCH_SMOKE=1` — short workloads (CI smoke mode).
+//! * `WLANSIM_BENCH_SMOKE=1` — short workloads (CI smoke mode), written
+//!   under `target/bench-smoke/`.
 //! * `WLANSIM_BENCH_SAMPLES` — timing samples per benchmark.
 
 use std::time::Instant;
@@ -33,8 +36,9 @@ use wlan_sim::link::{FrontEnd, LinkConfig, LinkSimulation};
 /// (`cosim_*`: chunked `process_into` against the sample-by-sample
 /// reference at osr 8); schema 5 drops the Viterbi and FFT batch
 /// entries (`viterbi_batch_*`, `fft64_batch_*`) with the kernels they
-/// timed, leaving the RF chain as the only batch-plane kernel.
-const KERNEL_JSON_SCHEMA: u32 = 5;
+/// timed; schema 6 drops the RF chain batch entries
+/// (`rf_chain_batch_*`) with the batch plane itself.
+const KERNEL_JSON_SCHEMA: u32 = 6;
 
 /// Single-thread link throughput of the pre-optimization tree
 /// (commit `6c17661`), measured with the exact workload of
@@ -212,73 +216,6 @@ fn main() {
     });
     g.finish();
 
-    // --- Batch plane: N packets' samples per kernel call. ---
-    // RF chain: a multi-segment sample plane through one
-    // `process_batch_into` call, against the staged pipeline walking
-    // the segments one at a time. Bit-identity is pinned against the
-    // per-frame fused kernel on an identically-seeded receiver.
-    let batch_segments_n = 4usize;
-    let mut plane = Vec::new();
-    let mut segments = Vec::new();
-    for i in 0..batch_segments_n {
-        let seg = tone_dbm(1e6 + i as f64 * 0.5e6, 80e6, -45.0, rf_len);
-        segments.push(seg.len());
-        plane.extend_from_slice(&seg);
-    }
-    let mut batch_rx = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut serial_rx = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut staged_rx = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut out_plane = Vec::new();
-    let mut out_segments = Vec::new();
-    batch_rx.process_batch_into(
-        &plane,
-        &segments,
-        &mut scratch,
-        &mut out_plane,
-        &mut out_segments,
-    );
-    let mut want_plane = Vec::new();
-    let mut start = 0;
-    for &len in &segments {
-        serial_rx.process_into(&plane[start..start + len], &mut scratch, &mut y);
-        want_plane.extend_from_slice(&y);
-        start += len;
-    }
-    let rf_batch_ok = out_plane.len() == want_plane.len()
-        && out_segments.iter().sum::<usize>() == out_plane.len()
-        && out_plane
-            .iter()
-            .zip(&want_plane)
-            .all(|(a, b)| a.re == b.re && a.im == b.im);
-    identical &= rf_batch_ok;
-
-    let mut g = h.benchmark_group("rf_chain_batch");
-    g.throughput(Throughput::Elements(plane.len() as u64));
-    let rf_batch_opt_s = g.bench_function("process_batch_into", |b| {
-        b.iter(|| {
-            batch_rx.process_batch_into(
-                &plane,
-                &segments,
-                &mut scratch,
-                &mut out_plane,
-                &mut out_segments,
-            );
-            out_plane.len()
-        })
-    });
-    let rf_batch_ref_s = g.bench_function("staged_per_segment", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            let mut start = 0;
-            for &len in &segments {
-                n += staged_rx.process_staged(&plane[start..start + len]).len();
-                start += len;
-            }
-            n
-        })
-    });
-    g.finish();
-
     // --- End-to-end link throughput (single thread). ---
     let sim = LinkSimulation::new(link_workload(link_packets, &wlan_phy::IEEE_802_11A));
     let first = sim.run();
@@ -287,7 +224,8 @@ fn main() {
         && first.decoded_packets == second.decoded_packets
         && first.evm_db == second.evm_db;
     identical &= link_ok;
-    // The batch driver must reproduce the serial reference exactly.
+    // Stepping the link cursor 8 packets at a time must reproduce the
+    // one-step run exactly.
     let batched = sim.run_batched(8);
     let link_batched_ok = batched.meter == first.meter
         && batched.decoded_packets == first.decoded_packets
@@ -327,7 +265,6 @@ fn main() {
     let vit_speedup = vit_ref_s / vit_opt_s.max(1e-12);
     let fft_speedup = fft_ref_s / fft_opt_s.max(1e-12);
     let rf_speedup = rf_ref_s / rf_opt_s.max(1e-12);
-    let rf_batch_speedup = rf_batch_ref_s / rf_batch_opt_s.max(1e-12);
     let cosim_speedup = cosim_ref_s / cosim_opt_s.max(1e-12);
     println!("viterbi  {vit_speedup:.2}x vs reference, bit-identical: {vit_ok}");
     println!("fft64    {fft_speedup:.2}x vs radix-2 loop, bit-identical: {fft_ok}");
@@ -335,10 +272,6 @@ fn main() {
     println!(
         "cosim    {cosim_speedup:.2}x (osr {cosim_osr}) vs sample-by-sample, \
          bit-identical: {cosim_ok}"
-    );
-    println!(
-        "rf_chain_batch {rf_batch_speedup:.2}x ({batch_segments_n} segments) vs staged, \
-         bit-identical: {rf_batch_ok}"
     );
     println!(
         "link     {packets_per_s:.1} packets/s ({link_speedup:.2}x vs pre-PR \
@@ -369,11 +302,7 @@ fn main() {
          \"cosim_osr\": {cosim_osr},\n    \
          \"cosim_opt_ns\": {:.1},\n    \"cosim_ref_ns\": {:.1},\n    \
          \"cosim_speedup\": {cosim_speedup:.4},\n    \
-         \"cosim_identical\": {cosim_ok},\n    \
-         \"rf_chain_batch_segments\": {batch_segments_n},\n    \
-         \"rf_chain_batch_opt_ns\": {:.1},\n    \"rf_chain_batch_ref_ns\": {:.1},\n    \
-         \"rf_chain_batch_speedup\": {rf_batch_speedup:.4},\n    \
-         \"rf_chain_batch_identical\": {rf_batch_ok}\n  }},\n  \"link\": {{\n    \
+         \"cosim_identical\": {cosim_ok}\n  }},\n  \"link\": {{\n    \
          \"packets\": {link_packets},\n    \"runs\": {link_runs},\n    \
          \"packets_per_s\": {packets_per_s:.1},\n    \
          \"baseline_packets_per_s\": {BASELINE_PACKETS_PER_S},\n    \
@@ -389,12 +318,12 @@ fn main() {
         rf_ref_s * 1e9,
         cosim_opt_s * 1e9,
         cosim_ref_s * 1e9,
-        rf_batch_opt_s * 1e9,
-        rf_batch_ref_s * 1e9,
     );
-    match std::fs::write("BENCH_kernels.json", &json) {
-        Ok(()) => println!("(BENCH_kernels.json written)"),
-        Err(e) => eprintln!("warning: could not write BENCH_kernels.json: {e}"),
+    let dir = if smoke { "target/bench-smoke" } else { "." };
+    let path = format!("{dir}/BENCH_kernels.json");
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &json)) {
+        Ok(()) => println!("({path} written)"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 
     if !identical {

@@ -1,6 +1,8 @@
 //! `serve_bench` — throughput, latency, allocation and identity gates
 //! for the streaming session engine (`wlan_sim::serve`), written to
-//! `BENCH_serve.json`.
+//! `BENCH_serve.json` (a smoke run writes
+//! `target/bench-smoke/BENCH_serve.json` instead, so it never overwrites
+//! the committed full-run figures).
 //!
 //! The bench drives two engines:
 //!
@@ -216,9 +218,11 @@ fn main() {
         stats.wall.as_secs_f64(),
         stats.parks,
     );
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("(BENCH_serve.json written)"),
-        Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
+    let dir = if smoke { "target/bench-smoke" } else { "." };
+    let path = format!("{dir}/BENCH_serve.json");
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &json)) {
+        Ok(()) => println!("({path} written)"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 
     if !identical || steady_state_allocs != 0 {

@@ -2,8 +2,9 @@
 //! (`wlan_sim::serve`): for any worker count, chunk size, or chunk
 //! interleaving, a served session's accumulated [`LinkReport`] must be
 //! **bit-identical** to a one-shot serial [`LinkSimulation::run`] over
-//! the same traffic — the same guarantee `run_batched` already gives,
-//! extended to interleaved multi-session scheduling.
+//! the same traffic. A session is a link cursor stepped one chunk at a
+//! time, and `run` is the same cursor stepped once; this grid checks
+//! that interleaved multi-session scheduling keeps that identity.
 
 use wlan_exec::{split_seed, ThreadPool};
 use wlan_phy::Rate;

@@ -3,9 +3,8 @@
 //! runs, and the longer run must not allocate a single time more than
 //! the short one. Everything the extra packets need — transmit
 //! waveform, channel scene, multipath taps, receive scratch — already
-//! lives in the [`PacketScratch`] arena grown during the first packet,
-//! and the batch driver's [`BatchScratch`] plane stabilizes after its
-//! first full batch.
+//! lives in the link cursor's packet arena grown during the first
+//! packet, however the packets are split into steps.
 //!
 //! A second same-config `run_shard` on one thread must take the
 //! thread's packet arena instead of rebuilding it, so it allocates only
@@ -110,9 +109,8 @@ fn cosim_config(packets: usize) -> LinkConfig {
     }
 }
 
-/// The batch driver over the ideal front end plus block-fading
-/// multipath, so the plane, the regenerated taps and the convolution
-/// arena are all exercised.
+/// The ideal front end plus block-fading multipath, stepped in batches,
+/// so the regenerated taps and the convolution arena are exercised.
 fn batched_config(packets: usize) -> LinkConfig {
     LinkConfig {
         multipath_trms_s: Some(50e-9),
@@ -205,9 +203,8 @@ fn steady_state_link_loop_is_allocation_free() {
         allocs_for(cosim_config(2)),
         allocs_for(cosim_config(6)),
     );
-    // Batch driver: the SoA plane double-buffers (batch 1 grows the
-    // front buffer, batch 2 the back buffer), so compare from the
-    // third batch on.
+    // Batched stepping: the same cursor arena, stepped 4 packets at a
+    // time.
     let _ = allocs_for_batched(batched_config(1), 4);
     assert_steady_state(
         "ideal batched",
@@ -257,9 +254,10 @@ fn steady_state_link_loop_is_allocation_free() {
 /// closure: each call feeds every session another burst and counts the
 /// allocations of the (inline) drive that serves it.
 ///
-/// Warm-up covers two chunks per session so the batch plane's double
-/// buffering reaches its high-water mark, and the admission budget
-/// covers the three measured rounds `min_allocs` takes.
+/// Two Ideal sessions and one RfBaseband session with the adjacent
+/// channel, so the scene renderer and the RF chain are proven too. The
+/// admission budget covers the three measured rounds `min_allocs`
+/// takes.
 fn serve_round() -> impl FnMut() -> u64 {
     const WARM: usize = 4;
     const STEADY: usize = 4;
@@ -268,11 +266,21 @@ fn serve_round() -> impl FnMut() -> u64 {
         chunk_packets: 2,
         ring_chunks: 2,
     });
-    for s in 0..3u64 {
-        let link = LinkConfig {
-            seed: 700 + s,
+    let links = [
+        LinkConfig {
+            seed: 700,
             ..ideal_config(WARM)
-        };
+        },
+        LinkConfig {
+            seed: 701,
+            ..ideal_config(WARM)
+        },
+        LinkConfig {
+            seed: 702,
+            ..rf_config(WARM)
+        },
+    ];
+    for link in links {
         eng.admit(link, WARM + 3 * STEADY).unwrap();
     }
     let pool = ThreadPool::serial();

@@ -156,14 +156,53 @@ impl LinkReport {
     }
 }
 
-/// Per-run (or per-shard) front-end and noise state: the filters settle
-/// across consecutive packets of the same stream, and all per-packet
-/// working buffers live in the [`PacketScratch`] arena.
-pub(crate) struct FrontEndState {
+/// Per-stream front-end and noise state: the filters settle across
+/// consecutive packets of the same stream, and all per-packet working
+/// buffers live in the [`PacketScratch`] arena.
+struct FrontEndState {
     bb: Option<DoubleConversionReceiver>,
     cosim: Option<CosimReceiver>,
     noise: Awgn,
-    pub(crate) scratch: PacketScratch,
+    scratch: PacketScratch,
+}
+
+impl FrontEndState {
+    /// Builds the front end of `cfg` with its noise streams derived from
+    /// `seed`, around a given arena.
+    fn new(cfg: &LinkConfig, seed: u64, scratch: PacketScratch) -> Self {
+        let bb = match &cfg.front_end {
+            FrontEnd::RfBaseband(rf) => {
+                // The front end must run at the scene's oversampled rate.
+                let mut rf = *rf;
+                rf.sample_rate_hz = wlan_units::Hz(cfg.profile.sample_rate * cfg.osr as f64);
+                rf.osr = cfg.osr;
+                Some(DoubleConversionReceiver::new(rf, seed ^ 0xABCD))
+            }
+            _ => None,
+        };
+        let cosim = match &cfg.front_end {
+            FrontEnd::RfCosim {
+                filter_edge_hz,
+                analog_osr,
+                ..
+            } => Some(
+                CosimReceiver::with_filter_edge(
+                    *filter_edge_hz,
+                    cfg.profile.sample_rate * cfg.osr as f64,
+                    *analog_osr,
+                    cfg.osr,
+                )
+                .expect("built-in netlist elaborates"),
+            ),
+            _ => None,
+        };
+        FrontEndState {
+            bb,
+            cosim,
+            noise: Awgn::new(seed ^ 0x5EED),
+            scratch,
+        }
+    }
 }
 
 /// Per-packet buffer arena: every transmit/channel/receive intermediate
@@ -171,7 +210,7 @@ pub(crate) struct FrontEndState {
 /// steady-state simulation of every front-end level — including the
 /// oversampled scene renderer and the multipath channel of the RF
 /// paths — performs zero heap allocation.
-pub(crate) struct PacketScratch {
+struct PacketScratch {
     /// Transmitted PSDU of the current packet.
     psdu: Vec<u8>,
     /// Long-lived transmitter, re-seeded per packet.
@@ -182,7 +221,7 @@ pub(crate) struct PacketScratch {
     /// Padded + noisy channel output ([`FrontEnd::Ideal`]).
     chan: Vec<Complex>,
     /// Receiver working buffers; holds the decoded PSDU after a success.
-    pub(crate) rx: RxScratch,
+    rx: RxScratch,
     rf: RfScratch,
     /// Decimated front-end output (RF modes).
     rf_out: Vec<Complex>,
@@ -209,12 +248,14 @@ pub(crate) struct PacketScratch {
 type ScratchKey = (Rate, &'static OfdmProfile, usize);
 
 thread_local! {
-    /// One-slot per-thread arena of [`LinkSimulation::run_shard`]: the
-    /// last shard's [`PacketScratch`] and its key. A shard of the same
-    /// key takes it instead of building a fresh one, so a sweep of
-    /// 1-packet shards reuses the worst-case receive reservation instead
-    /// of reallocating it per shard.
-    static SHARD_SCRATCH: RefCell<Option<(ScratchKey, PacketScratch)>> =
+    /// One-slot per-thread packet arena of [`LinkSimulation::run_batched`]
+    /// and [`LinkSimulation::run_shard`]: the last run's
+    /// [`PacketScratch`] and its key. A run of the same key takes it
+    /// instead of building a fresh one, so a sweep of 1-packet shards or
+    /// a stream of short runs reuses the worst-case receive reservation
+    /// instead of reallocating it each time. Only capacity carries over:
+    /// every buffer is overwritten before it is read.
+    static THREAD_ARENA: RefCell<Option<(ScratchKey, PacketScratch)>> =
         const { RefCell::new(None) };
 }
 
@@ -246,35 +287,6 @@ impl PacketScratch {
     }
 }
 
-/// Batch-plane arena of [`LinkSimulation::run_batched`]: the
-/// concatenated per-packet front-end inputs (`plane` + `segments`), the
-/// matching DSP-rate outputs (`out_plane` + `out_segments`) and the
-/// transmitted payloads of the in-flight batch. Capacity survives
-/// between batches, so the batch driver is steady-state
-/// allocation-free.
-#[derive(Debug, Default)]
-pub(crate) struct BatchScratch {
-    /// Front-end input samples of every packet in the batch,
-    /// concatenated in packet order (the SoA sample plane).
-    plane: Vec<Complex>,
-    /// Per-packet lengths inside `plane`.
-    segments: Vec<usize>,
-    /// DSP-rate front-end outputs, concatenated in packet order.
-    pub(crate) out_plane: Vec<Complex>,
-    /// Per-packet lengths inside `out_plane`.
-    pub(crate) out_segments: Vec<usize>,
-    /// Transmitted PSDUs, `psdu_len` bytes per packet.
-    pub(crate) psdus: Vec<u8>,
-}
-
-/// What one simulated packet produced. The payload bytes stay in the
-/// [`PacketScratch`]: `scratch.psdu` (transmitted) and `scratch.rx.psdu`
-/// (decoded).
-enum PacketOutcome {
-    Decoded { evm_db: f64 },
-    Lost,
-}
-
 /// Accumulated result of one Monte-Carlo shard (a batch of frames with
 /// its own seed stream). Merged in shard order by the parallel driver.
 #[derive(Debug, Clone, Default)]
@@ -289,6 +301,21 @@ pub struct ShardReport {
     pub packets: usize,
 }
 
+impl ShardReport {
+    /// This tally as a [`LinkReport`]: the mean EVM is taken over the
+    /// decoded frames.
+    pub(crate) fn link_report(&self, elapsed: Duration) -> LinkReport {
+        LinkReport {
+            packets: self.packets,
+            decoded_packets: self.decoded_packets,
+            meter: self.meter,
+            evm_db: (self.decoded_packets > 0)
+                .then(|| self.evm_sum_db / self.decoded_packets as f64),
+            elapsed,
+        }
+    }
+}
+
 impl McAccumulator for ShardReport {
     fn meter(&self) -> &BerMeter {
         &self.meter
@@ -299,6 +326,192 @@ impl McAccumulator for ShardReport {
         self.decoded_packets += other.decoded_packets;
         self.evm_sum_db += other.evm_sum_db;
         self.packets += other.packets;
+    }
+}
+
+/// Keeps the receiver's inline LTF template 16-byte aligned whatever
+/// the cursor's field layout: at an 8-mod-16 offset, the Ideal receive
+/// loop measured about 8% slower.
+#[repr(align(16))]
+struct Aligned16<T>(T);
+
+/// One link stream, stepped packet by packet. It owns everything that
+/// carries from one packet to the next: the payload and channel RNG, the
+/// settled front-end filters and noise stream, the packet arena, the
+/// receiver and the running tally. Stepping `a` then `b` packets is
+/// therefore bit-identical to stepping `a + b` at once.
+///
+/// Every packet of the crate runs through [`LinkCursor::step`]:
+/// [`LinkSimulation::run`] and [`LinkSimulation::run_batched`] step one
+/// cursor to the end, [`LinkSimulation::run_shard`] steps a cursor
+/// seeded per shard, and every serve session is a cursor stepped one
+/// chunk at a time.
+pub(crate) struct LinkCursor {
+    config: LinkConfig,
+    rng: Rng,
+    fe: FrontEndState,
+    rx: Aligned16<Receiver>,
+    /// Global index of the next packet; it picks the scrambler seeds.
+    next_packet: usize,
+    tally: ShardReport,
+}
+
+impl LinkCursor {
+    /// A cursor at packet 0 of the stream `config.seed` defines.
+    pub(crate) fn new(config: LinkConfig) -> Self {
+        let scratch = PacketScratch::new(config.rate, config.profile, config.osr);
+        let seed = config.seed;
+        Self::with_scratch(config, 0, seed, scratch)
+    }
+
+    /// A cursor at global packet `first_packet` whose RNG, front-end and
+    /// noise streams all derive from `seed`, around a given arena. Only
+    /// the arena's capacity matters: every buffer is overwritten before
+    /// it is read.
+    fn with_scratch(
+        config: LinkConfig,
+        first_packet: usize,
+        seed: u64,
+        scratch: PacketScratch,
+    ) -> Self {
+        LinkCursor {
+            rng: Rng::new(seed),
+            fe: FrontEndState::new(&config, seed, scratch),
+            rx: Aligned16(Receiver::with_profile(config.profile)),
+            next_packet: first_packet,
+            tally: ShardReport::default(),
+            config,
+        }
+    }
+
+    /// [`LinkCursor::with_scratch`] around the packet arena the thread's
+    /// previous run or shard of the same rate, profile and osr left
+    /// behind (a fresh one otherwise), so back-to-back short runs do not
+    /// reallocate the worst-case receive reservation.
+    fn on_thread_arena(config: LinkConfig, first_packet: usize, seed: u64) -> Self {
+        let key: ScratchKey = (config.rate, config.profile, config.osr);
+        let scratch = THREAD_ARENA
+            .with(|slot| slot.borrow_mut().take())
+            .filter(|(k, _)| *k == key)
+            .map_or_else(|| PacketScratch::new(key.0, key.1, key.2), |(_, s)| s);
+        Self::with_scratch(config, first_packet, seed, scratch)
+    }
+
+    /// Hands the packet arena back to the thread and returns the tally.
+    fn release_arena(self) -> ShardReport {
+        let key: ScratchKey = (self.config.rate, self.config.profile, self.config.osr);
+        THREAD_ARENA.with(|slot| *slot.borrow_mut() = Some((key, self.fe.scratch)));
+        self.tally
+    }
+
+    /// The link configuration.
+    pub(crate) fn config(&self) -> &LinkConfig {
+        &self.config
+    }
+
+    /// Global index of the next packet to simulate.
+    pub(crate) fn next_packet(&self) -> usize {
+        self.next_packet
+    }
+
+    /// Tally of every packet stepped so far.
+    pub(crate) fn tally(&self) -> &ShardReport {
+        &self.tally
+    }
+
+    /// Simulates the next `n` packets — transmit, channel, front end,
+    /// receive — and adds them to the tally. All buffers come from the
+    /// [`PacketScratch`] arena.
+    pub(crate) fn step(&mut self, n: usize) {
+        let LinkCursor {
+            config: cfg,
+            rng,
+            fe,
+            rx,
+            next_packet,
+            tally,
+        } = self;
+        let FrontEndState {
+            bb,
+            cosim,
+            noise,
+            scratch,
+        } = fe;
+        let PacketScratch {
+            psdu,
+            tx,
+            txs,
+            burst,
+            chan,
+            rx: rxs,
+            rf,
+            rf_out,
+            adj_psdu,
+            padded,
+            faded,
+            chan_model,
+            renderer,
+            adj_tx,
+            adj_burst,
+            scene,
+        } = scratch;
+
+        for pkt in *next_packet..*next_packet + n {
+            psdu.clear();
+            psdu.resize(cfg.psdu_len, 0);
+            rng.bytes(psdu);
+            let seed_bits = ((pkt as u8).wrapping_mul(37) % 127) + 1;
+            tx.set_scrambler_seed(seed_bits);
+            tx.transmit_into(psdu, txs, burst);
+
+            // Optional multipath (one realization per packet, taps
+            // redrawn into the arena-held channel).
+            if let Some(trms) = cfg.multipath_trms_s {
+                chan_model.regenerate_rayleigh_exponential(trms, cfg.profile.sample_rate, rng);
+                chan_model.apply_into(burst, faded);
+                std::mem::swap(burst, faded);
+            }
+
+            let dsp_input: &[Complex] = match &cfg.front_end {
+                FrontEnd::Ideal => {
+                    chan.clear();
+                    chan.reserve(burst.len() + 400);
+                    chan.extend(std::iter::repeat_n(Complex::ZERO, 200));
+                    chan.extend_from_slice(burst);
+                    chan.extend(std::iter::repeat_n(Complex::ZERO, 200));
+                    if let Some(snr) = cfg.snr_db {
+                        // Noise power relative to burst power (≈1).
+                        let np = wlan_dsp::math::db_to_lin(-snr);
+                        noise.add_noise_power_in_place(chan, np);
+                    }
+                    chan
+                }
+                FrontEnd::RfBaseband(_) | FrontEnd::RfCosim { .. } => {
+                    build_scene_into(
+                        cfg, pkt, rng, burst, padded, renderer, adj_tx, txs, adj_psdu, adj_burst,
+                        scene,
+                    );
+                    add_frontend_noise(cfg, noise, scene);
+                    match (bb.as_mut(), cosim.as_mut()) {
+                        (Some(fe), _) => fe.process_into(scene, rf, rf_out),
+                        (_, Some(fe)) => fe.process_into(scene, rf_out),
+                        _ => unreachable!(),
+                    }
+                    rf_out
+                }
+            };
+
+            match rx.0.receive_into(dsp_input, rxs) {
+                Ok(sum) if rxs.psdu.len() == psdu.len() => {
+                    tally.meter.update_bytes(psdu, &rxs.psdu);
+                    tally.evm_sum_db += sum.evm_db();
+                    tally.decoded_packets += 1;
+                }
+                _ => tally.meter.update_lost_packet(8 * cfg.psdu_len),
+            }
+            tally.packets += 1;
+        }
+        *next_packet += n;
     }
 }
 
@@ -355,225 +568,30 @@ impl LinkSimulation {
         &self.config
     }
 
-    /// Runs all packets and accumulates the report.
+    /// Runs all packets and accumulates the report: one link cursor
+    /// stepped to the end.
     pub fn run(&self) -> LinkReport {
-        let cfg = &self.config;
-        let started = Instant::now();
-        let mut rng = Rng::new(cfg.seed);
-        let mut fe = self.front_end_state(cfg.seed);
-        let rx = Receiver::with_profile(self.config.profile);
-        let mut meter = BerMeter::new();
-        let mut evm_acc = 0.0f64;
-        let mut decoded = 0usize;
-
-        for pkt in 0..cfg.packets {
-            match self.sim_packet(pkt, &mut rng, &mut fe, &rx) {
-                PacketOutcome::Decoded { evm_db } => {
-                    meter.update_bytes(&fe.scratch.psdu, &fe.scratch.rx.psdu);
-                    evm_acc += evm_db;
-                    decoded += 1;
-                }
-                PacketOutcome::Lost => {
-                    meter.update_lost_packet(8 * cfg.psdu_len);
-                }
-            }
-        }
-
-        LinkReport {
-            packets: cfg.packets,
-            decoded_packets: decoded,
-            meter,
-            evm_db: if decoded > 0 {
-                Some(evm_acc / decoded as f64)
-            } else {
-                None
-            },
-            elapsed: started.elapsed(),
-        }
+        self.run_batched(self.config.packets)
     }
 
-    /// Runs all packets through the batch plane: per batch of
-    /// `batch_packets` frames, the shared-stream stages (payload draw,
-    /// transmit, multipath, scene, front-end noise) run packet-major in
-    /// exactly the serial order, the per-packet front-end inputs are
-    /// concatenated into one contiguous sample plane, and the RF chain
-    /// then runs *stage-major across the whole plane*
-    /// ([`DoubleConversionReceiver::process_batch_into`]) before the DSP
-    /// receiver decodes each segment.
-    ///
-    /// Every stage state machine and every private noise stream sees the
-    /// same input sequence as in [`LinkSimulation::run`], so the report
-    /// is **bit-identical to the serial loop for any batch size** —
-    /// `run` stays the reference the differential tests compare against.
-    /// [`FrontEnd::Ideal`] and [`FrontEnd::RfCosim`] have no cross-packet
-    /// plane kernel; their segments fall back to per-packet processing
-    /// in packet order (which preserves the identity trivially).
+    /// Runs all packets, `batch_packets` per step of the link cursor.
+    /// The cursor carries every stream and filter state across steps, so
+    /// the report is **bit-identical to [`LinkSimulation::run`] for any
+    /// batch size**. The packet buffers come from the same per-thread
+    /// arena as [`LinkSimulation::run_shard`]'s.
     ///
     /// # Panics
     ///
     /// Panics if `batch_packets` is zero.
     pub fn run_batched(&self, batch_packets: usize) -> LinkReport {
         assert!(batch_packets >= 1, "batch must hold at least one packet");
-        let cfg = &self.config;
         let started = Instant::now();
-        let mut rng = Rng::new(cfg.seed);
-        let mut fe = self.front_end_state(cfg.seed);
-        let rx = Receiver::with_profile(self.config.profile);
-        let mut meter = BerMeter::new();
-        let mut evm_acc = 0.0f64;
-        let mut decoded = 0usize;
-        let mut batch = BatchScratch::default();
-
-        let mut first = 0;
-        while first < cfg.packets {
-            let n = batch_packets.min(cfg.packets - first);
-            self.run_batch(first, n, &mut rng, &mut fe, &mut batch);
-            // Per-packet bookkeeping in packet order, exactly like the
-            // serial loop.
-            let mut start = 0;
-            for (i, &len) in batch.out_segments.iter().enumerate() {
-                let seg = &batch.out_plane[start..start + len];
-                let sent = &batch.psdus[i * cfg.psdu_len..(i + 1) * cfg.psdu_len];
-                match rx.receive_into(seg, &mut fe.scratch.rx) {
-                    Ok(sum) if fe.scratch.rx.psdu.len() == sent.len() => {
-                        meter.update_bytes(sent, &fe.scratch.rx.psdu);
-                        evm_acc += sum.evm_db();
-                        decoded += 1;
-                    }
-                    _ => meter.update_lost_packet(8 * cfg.psdu_len),
-                }
-                start += len;
-            }
-            first += n;
+        let packets = self.config.packets;
+        let mut cursor = LinkCursor::on_thread_arena(self.config.clone(), 0, self.config.seed);
+        for first in (0..packets).step_by(batch_packets) {
+            cursor.step(batch_packets.min(packets - first));
         }
-
-        LinkReport {
-            packets: cfg.packets,
-            decoded_packets: decoded,
-            meter,
-            evm_db: if decoded > 0 {
-                Some(evm_acc / decoded as f64)
-            } else {
-                None
-            },
-            elapsed: started.elapsed(),
-        }
-    }
-
-    /// One batch of the batch plane: stages A (packet-major shared-rng
-    /// transmit/channel into the concatenated plane) and B (front end
-    /// over the plane), leaving the per-packet DSP inputs in
-    /// `batch.out_plane`/`batch.out_segments` and the transmitted
-    /// payloads in `batch.psdus`.
-    pub(crate) fn run_batch(
-        &self,
-        first: usize,
-        n: usize,
-        rng: &mut Rng,
-        fe: &mut FrontEndState,
-        batch: &mut BatchScratch,
-    ) {
-        let cfg = &self.config;
-        let FrontEndState {
-            bb,
-            cosim,
-            noise,
-            scratch,
-        } = fe;
-        let PacketScratch {
-            psdu,
-            tx,
-            txs,
-            burst,
-            chan: _,
-            rx: _,
-            rf,
-            rf_out,
-            adj_psdu,
-            padded,
-            faded,
-            chan_model,
-            renderer,
-            adj_tx,
-            adj_burst,
-            scene,
-        } = scratch;
-
-        batch.plane.clear();
-        batch.segments.clear();
-        batch.psdus.clear();
-        for i in 0..n {
-            let pkt = first + i;
-            psdu.clear();
-            psdu.resize(cfg.psdu_len, 0);
-            rng.bytes(psdu);
-            batch.psdus.extend_from_slice(psdu);
-            let seed_bits = ((pkt as u8).wrapping_mul(37) % 127) + 1;
-            tx.set_scrambler_seed(seed_bits);
-            tx.transmit_into(psdu, txs, burst);
-
-            if let Some(trms) = cfg.multipath_trms_s {
-                chan_model.regenerate_rayleigh_exponential(trms, cfg.profile.sample_rate, rng);
-                chan_model.apply_into(burst, faded);
-                std::mem::swap(burst, faded);
-            }
-
-            let seg_start = batch.plane.len();
-            match &cfg.front_end {
-                FrontEnd::Ideal => {
-                    batch.plane.reserve(burst.len() + 400);
-                    batch.plane.extend(std::iter::repeat_n(Complex::ZERO, 200));
-                    batch.plane.extend_from_slice(burst);
-                    batch.plane.extend(std::iter::repeat_n(Complex::ZERO, 200));
-                    if let Some(snr) = cfg.snr_db {
-                        let np = wlan_dsp::math::db_to_lin(-snr);
-                        noise.add_noise_power_in_place(&mut batch.plane[seg_start..], np);
-                    }
-                }
-                FrontEnd::RfBaseband(_) | FrontEnd::RfCosim { .. } => {
-                    Self::build_scene_into(
-                        cfg, pkt, rng, burst, padded, renderer, adj_tx, txs, adj_psdu, adj_burst,
-                        scene,
-                    );
-                    self.add_frontend_noise(scene, cfg, noise);
-                    batch.plane.extend_from_slice(scene);
-                }
-            }
-            batch.segments.push(batch.plane.len() - seg_start);
-        }
-
-        match &cfg.front_end {
-            FrontEnd::Ideal => {
-                // No front end: the plane segments are the DSP inputs.
-                std::mem::swap(&mut batch.plane, &mut batch.out_plane);
-                std::mem::swap(&mut batch.segments, &mut batch.out_segments);
-            }
-            FrontEnd::RfBaseband(_) => {
-                let bb = bb.as_mut().expect("baseband front end");
-                bb.process_batch_into(
-                    &batch.plane,
-                    &batch.segments,
-                    rf,
-                    &mut batch.out_plane,
-                    &mut batch.out_segments,
-                );
-            }
-            FrontEnd::RfCosim { .. } => {
-                // The analog engine already runs device-major over
-                // chunks; batch the packets by processing the segments
-                // in packet order (state carries exactly as serially).
-                let cs = cosim.as_mut().expect("cosim front end");
-                batch.out_plane.clear();
-                batch.out_segments.clear();
-                let mut start = 0;
-                for &len in &batch.segments {
-                    cs.process_into(&batch.plane[start..start + len], rf_out);
-                    batch.out_plane.extend_from_slice(rf_out);
-                    batch.out_segments.push(rf_out.len());
-                    start += len;
-                }
-            }
-        }
+        cursor.release_arena().link_report(started.elapsed())
     }
 
     /// Runs one shard of the Monte-Carlo schedule: `packets` frames with
@@ -583,41 +601,13 @@ impl LinkSimulation {
     /// Global packet indices keep the scrambler-seed schedule aligned
     /// with frame identity, so the shard decomposition — not the
     /// execution order — defines the result. The packet buffers come
-    /// from a per-thread arena that the previous shard of the same
-    /// rate, profile and osr left behind, so back-to-back small shards
-    /// do not reallocate them.
+    /// from a per-thread arena that the previous run or shard of the
+    /// same rate, profile and osr left behind, so back-to-back small
+    /// shards do not reallocate them.
     pub fn run_shard(&self, first_packet: usize, packets: usize, seed: u64) -> ShardReport {
-        let cfg = &self.config;
-        let mut rng = Rng::new(seed);
-        // Only buffer capacity carries over from the thread's previous
-        // shard: every buffer is overwritten before it is read, and the
-        // front ends, noise stream and receiver below are fresh.
-        let key: ScratchKey = (cfg.rate, cfg.profile, cfg.osr);
-        let scratch = SHARD_SCRATCH
-            .with(|slot| slot.borrow_mut().take())
-            .filter(|(k, _)| *k == key)
-            .map_or_else(|| PacketScratch::new(key.0, key.1, key.2), |(_, s)| s);
-        let mut fe = self.front_end_state_with(seed, scratch);
-        let rx = Receiver::with_profile(self.config.profile);
-        let mut report = ShardReport::default();
-
-        for i in 0..packets {
-            match self.sim_packet(first_packet + i, &mut rng, &mut fe, &rx) {
-                PacketOutcome::Decoded { evm_db } => {
-                    report
-                        .meter
-                        .update_bytes(&fe.scratch.psdu, &fe.scratch.rx.psdu);
-                    report.evm_sum_db += evm_db;
-                    report.decoded_packets += 1;
-                }
-                PacketOutcome::Lost => {
-                    report.meter.update_lost_packet(8 * cfg.psdu_len);
-                }
-            }
-            report.packets += 1;
-        }
-        SHARD_SCRATCH.with(|slot| *slot.borrow_mut() = Some((key, fe.scratch)));
-        report
+        let mut cursor = LinkCursor::on_thread_arena(self.config.clone(), first_packet, seed);
+        cursor.step(packets);
+        cursor.release_arena()
     }
 
     /// Runs the configured frame budget as a sharded Monte-Carlo
@@ -652,221 +642,80 @@ impl LinkSimulation {
             let n = shard_packets.min(cfg.packets - first);
             self.run_shard(first, n, split_seed(cfg.seed, mc.point_index, shard as u64))
         });
-        let acc: ShardReport = outcome.acc;
-        LinkReport {
-            packets: acc.packets,
-            decoded_packets: acc.decoded_packets,
-            meter: acc.meter,
-            evm_db: if acc.decoded_packets > 0 {
-                Some(acc.evm_sum_db / acc.decoded_packets as f64)
-            } else {
-                None
-            },
-            elapsed: started.elapsed(),
-        }
+        outcome.acc.link_report(started.elapsed())
     }
+}
 
-    /// Builds the per-run front-end state (filters settle across the
-    /// packets of one serial run or one shard).
-    pub(crate) fn front_end_state(&self, seed: u64) -> FrontEndState {
-        let cfg = &self.config;
-        self.front_end_state_with(seed, PacketScratch::new(cfg.rate, cfg.profile, cfg.osr))
-    }
-
-    /// [`LinkSimulation::front_end_state`] around a given arena.
-    fn front_end_state_with(&self, seed: u64, scratch: PacketScratch) -> FrontEndState {
-        let cfg = &self.config;
-        let bb = match &cfg.front_end {
-            FrontEnd::RfBaseband(rf) => {
-                // The front end must run at the scene's oversampled rate.
-                let mut rf = *rf;
-                rf.sample_rate_hz = wlan_units::Hz(cfg.profile.sample_rate * cfg.osr as f64);
-                rf.osr = cfg.osr;
-                Some(DoubleConversionReceiver::new(rf, seed ^ 0xABCD))
-            }
-            _ => None,
-        };
-        let cosim = match &cfg.front_end {
-            FrontEnd::RfCosim {
-                filter_edge_hz,
-                analog_osr,
-                ..
-            } => Some(
-                CosimReceiver::with_filter_edge(
-                    *filter_edge_hz,
-                    cfg.profile.sample_rate * cfg.osr as f64,
-                    *analog_osr,
-                    cfg.osr,
-                )
-                .expect("built-in netlist elaborates"),
-            ),
-            _ => None,
-        };
-        FrontEndState {
-            bb,
-            cosim,
-            noise: Awgn::new(seed ^ 0x5EED),
-            scratch,
-        }
-    }
-
-    /// Simulates one packet: transmit, channel, front end, receive. All
-    /// buffers come from the [`PacketScratch`] arena in `fe`.
-    fn sim_packet(
-        &self,
-        pkt: usize,
-        rng: &mut Rng,
-        fe: &mut FrontEndState,
-        rx: &Receiver,
-    ) -> PacketOutcome {
-        let cfg = &self.config;
-        let FrontEndState {
-            bb,
-            cosim,
-            noise,
-            scratch,
-        } = fe;
-        let PacketScratch {
-            psdu,
-            tx,
-            txs,
-            burst,
-            chan,
-            rx: rxs,
-            rf,
-            rf_out,
-            adj_psdu,
-            padded,
-            faded,
-            chan_model,
-            renderer,
-            adj_tx,
-            adj_burst,
-            scene,
-        } = scratch;
-
-        psdu.clear();
-        psdu.resize(cfg.psdu_len, 0);
-        rng.bytes(psdu);
-        let seed_bits = ((pkt as u8).wrapping_mul(37) % 127) + 1;
-        tx.set_scrambler_seed(seed_bits);
-        tx.transmit_into(psdu, txs, burst);
-
-        // Optional multipath (one realization per packet, taps redrawn
-        // into the arena-held channel).
-        if let Some(trms) = cfg.multipath_trms_s {
-            chan_model.regenerate_rayleigh_exponential(trms, cfg.profile.sample_rate, rng);
-            chan_model.apply_into(burst, faded);
-            std::mem::swap(burst, faded);
-        }
-
-        let dsp_input: &[Complex] = match &cfg.front_end {
-            FrontEnd::Ideal => {
-                chan.clear();
-                chan.reserve(burst.len() + 400);
-                chan.extend(std::iter::repeat_n(Complex::ZERO, 200));
-                chan.extend_from_slice(burst);
-                chan.extend(std::iter::repeat_n(Complex::ZERO, 200));
-                if let Some(snr) = cfg.snr_db {
-                    // Noise power relative to burst power (≈1).
-                    let np = wlan_dsp::math::db_to_lin(-snr);
-                    noise.add_noise_power_in_place(chan, np);
-                }
-                chan
-            }
-            FrontEnd::RfBaseband(_) | FrontEnd::RfCosim { .. } => {
-                Self::build_scene_into(
-                    cfg, pkt, rng, burst, padded, renderer, adj_tx, txs, adj_psdu, adj_burst, scene,
-                );
-                self.add_frontend_noise(scene, cfg, noise);
-                match (bb, cosim) {
-                    (Some(fe), _) => fe.process_into(scene, rf, rf_out),
-                    (_, Some(fe)) => fe.process_into(scene, rf_out),
-                    _ => unreachable!(),
-                }
-                rf_out
-            }
-        };
-
-        match rx.receive_into(dsp_input, rxs) {
-            Ok(sum) if rxs.psdu.len() == psdu.len() => PacketOutcome::Decoded {
-                evm_db: sum.evm_db(),
-            },
-            _ => PacketOutcome::Lost,
-        }
-    }
-
-    /// Builds the oversampled scene into the arena: wanted channel at the
-    /// configured level plus the optional adjacent channel (a duplicated
-    /// transmitter with independent payload). Allocation-free in steady
-    /// state; bit-identical to rendering the same emitters through the
-    /// allocating [`wlan_channel::interferer::Scene`] builder.
-    #[allow(clippy::too_many_arguments)] // borrow-split arena fields
-    fn build_scene_into(
-        cfg: &LinkConfig,
-        pkt: usize,
-        rng: &mut Rng,
-        wanted: &[Complex],
-        padded: &mut Vec<Complex>,
-        renderer: &mut SceneRenderer,
-        adj_tx: &mut Transmitter,
-        txs: &mut TxScratch,
-        adj_psdu: &mut Vec<u8>,
-        adj_burst: &mut Vec<Complex>,
-        out: &mut Vec<Complex>,
-    ) {
-        // Trailing pad: the front-end filters delay the burst by tens of
-        // samples; without tail room the last OFDM symbols would fall off
-        // the end of the processed buffer.
-        padded.clear();
-        padded.reserve(wanted.len() + 160);
-        padded.extend_from_slice(wanted);
-        padded.extend(std::iter::repeat_n(Complex::ZERO, 160));
-        out.clear();
+/// Builds the oversampled scene into the arena: wanted channel at the
+/// configured level plus the optional adjacent channel (a duplicated
+/// transmitter with independent payload). Allocation-free in steady
+/// state; bit-identical to rendering the same emitters through the
+/// allocating [`wlan_channel::interferer::Scene`] builder.
+#[allow(clippy::too_many_arguments)] // borrow-split arena fields
+fn build_scene_into(
+    cfg: &LinkConfig,
+    pkt: usize,
+    rng: &mut Rng,
+    wanted: &[Complex],
+    padded: &mut Vec<Complex>,
+    renderer: &mut SceneRenderer,
+    adj_tx: &mut Transmitter,
+    txs: &mut TxScratch,
+    adj_psdu: &mut Vec<u8>,
+    adj_burst: &mut Vec<Complex>,
+    out: &mut Vec<Complex>,
+) {
+    // Trailing pad: the front-end filters delay the burst by tens of
+    // samples; without tail room the last OFDM symbols would fall off
+    // the end of the processed buffer.
+    padded.clear();
+    padded.reserve(wanted.len() + 160);
+    padded.extend_from_slice(wanted);
+    padded.extend(std::iter::repeat_n(Complex::ZERO, 160));
+    out.clear();
+    renderer.add_into(
+        padded,
+        wlan_units::Hz(0.0),
+        wlan_units::Dbm(cfg.rx_level_dbm),
+        cfg.profile.fft_size * cfg.osr,
+        out,
+    );
+    if let Some(adj) = cfg.adjacent {
+        adj_psdu.clear();
+        adj_psdu.resize(cfg.psdu_len, 0);
+        rng.bytes(adj_psdu);
+        let adj_seed = ((pkt as u8).wrapping_mul(53) % 127) + 1;
+        adj_tx.set_scrambler_seed(adj_seed);
+        adj_tx.transmit_into(adj_psdu, txs, adj_burst);
         renderer.add_into(
-            padded,
-            wlan_units::Hz(0.0),
-            wlan_units::Dbm(cfg.rx_level_dbm),
-            cfg.profile.fft_size * cfg.osr,
+            adj_burst,
+            wlan_units::Hz(adj.offset_hz),
+            wlan_units::Dbm(cfg.rx_level_dbm + adj.rel_db),
+            0,
             out,
         );
-        if let Some(adj) = cfg.adjacent {
-            adj_psdu.clear();
-            adj_psdu.resize(cfg.psdu_len, 0);
-            rng.bytes(adj_psdu);
-            let adj_seed = ((pkt as u8).wrapping_mul(53) % 127) + 1;
-            adj_tx.set_scrambler_seed(adj_seed);
-            adj_tx.transmit_into(adj_psdu, txs, adj_burst);
-            renderer.add_into(
-                adj_burst,
-                wlan_units::Hz(adj.offset_hz),
-                wlan_units::Dbm(cfg.rx_level_dbm + adj.rel_db),
-                0,
-                out,
-            );
-        }
     }
+}
 
-    /// Adds the antenna thermal floor in place. The paper's co-simulation
-    /// could not generate noise in the analog part; the
-    /// `noise_workaround` flag reproduces the suggested fix of adding it
-    /// in the discrete-time part.
-    fn add_frontend_noise(&self, scene: &mut [Complex], cfg: &LinkConfig, noise: &mut Awgn) {
-        let fs = cfg.profile.sample_rate * cfg.osr as f64;
-        let floor = wlan_rf::noise::source_noise_power(fs);
-        match &cfg.front_end {
-            FrontEnd::RfBaseband(_) => noise.add_noise_power_in_place(scene, floor),
-            FrontEnd::RfCosim {
-                noise_workaround, ..
-            } => {
-                if *noise_workaround {
-                    // Approximate the whole cascade's input-referred noise
-                    // (floor × system noise figure budget ≈ +6 dB).
-                    noise.add_noise_power_in_place(scene, floor * 4.0);
-                }
+/// Adds the antenna thermal floor in place. The paper's co-simulation
+/// could not generate noise in the analog part; the `noise_workaround`
+/// flag reproduces the suggested fix of adding it in the discrete-time
+/// part.
+fn add_frontend_noise(cfg: &LinkConfig, noise: &mut Awgn, scene: &mut [Complex]) {
+    let fs = cfg.profile.sample_rate * cfg.osr as f64;
+    let floor = wlan_rf::noise::source_noise_power(fs);
+    match &cfg.front_end {
+        FrontEnd::RfBaseband(_) => noise.add_noise_power_in_place(scene, floor),
+        FrontEnd::RfCosim {
+            noise_workaround, ..
+        } => {
+            if *noise_workaround {
+                // Approximate the whole cascade's input-referred noise
+                // (floor × system noise figure budget ≈ +6 dB).
+                noise.add_noise_power_in_place(scene, floor * 4.0);
             }
-            FrontEnd::Ideal => {}
         }
+        FrontEnd::Ideal => {}
     }
 }
 
@@ -1038,15 +887,13 @@ mod tests {
         assert!(r.ber() < 0.01, "ber {}", r.ber());
     }
 
-    #[test]
-    fn run_batched_matches_run_bit_identical() {
-        // Every front-end level; batch sizes 1, 3 (ragged last batch)
-        // and one larger than the packet budget. The batch driver must
-        // reproduce the serial reference exactly: same meter, same
-        // decode count, same EVM sum to the last bit.
-        let cases = vec![
+    /// Ideal with multipath, RfBaseband with the adjacent channel, and
+    /// RfCosim with the noise workaround: every stream the cursor
+    /// carries (payload RNG, taps, scene, front-end filters and noise).
+    fn cursor_cases() -> Vec<LinkConfig> {
+        vec![
             LinkConfig {
-                packets: 5,
+                packets: 6,
                 psdu_len: 60,
                 rate: Rate::R36,
                 snr_db: Some(12.0),
@@ -1065,7 +912,7 @@ mod tests {
                 ..LinkConfig::default()
             },
             LinkConfig {
-                packets: 2,
+                packets: 3,
                 psdu_len: 40,
                 rx_level_dbm: -50.0,
                 front_end: FrontEnd::RfCosim {
@@ -1076,18 +923,71 @@ mod tests {
                 seed: 15,
                 ..LinkConfig::default()
             },
-        ];
-        for cfg in cases {
+        ]
+    }
+
+    fn assert_tally_eq(got: &ShardReport, want: &ShardReport, what: &str) {
+        assert_eq!(got.meter, want.meter, "{what}: meter");
+        assert_eq!(got.decoded_packets, want.decoded_packets, "{what}: decoded");
+        assert_eq!(
+            got.evm_sum_db.to_bits(),
+            want.evm_sum_db.to_bits(),
+            "{what}: evm bits"
+        );
+        assert_eq!(got.packets, want.packets, "{what}: packets");
+    }
+
+    #[test]
+    fn cursor_steps_are_split_invariant() {
+        // Seeded random splits of the packet budget into steps of at
+        // least one packet must tally exactly what one `run()` reports.
+        let mut splits = Rng::new(0x5717);
+        for cfg in cursor_cases() {
             let label = format!("{:?}", cfg.front_end);
-            let sim = LinkSimulation::new(cfg);
-            let want = sim.run();
-            for batch in [1usize, 3, 16] {
-                let got = sim.run_batched(batch);
-                assert_eq!(got.meter, want.meter, "{label} batch {batch}");
-                assert_eq!(got.decoded_packets, want.decoded_packets, "{label}");
-                assert_eq!(got.evm_db, want.evm_db, "{label} batch {batch}");
-                assert_eq!(got.packets, want.packets);
+            let want = LinkSimulation::new(cfg.clone()).run();
+            for trial in 0..3 {
+                let mut cursor = LinkCursor::new(cfg.clone());
+                let mut steps = Vec::new();
+                while cursor.next_packet() < cfg.packets {
+                    let left = cfg.packets - cursor.next_packet();
+                    let n = 1 + (splits.next_u64() as usize) % left;
+                    cursor.step(n);
+                    steps.push(n);
+                }
+                let got = cursor.tally().link_report(Duration::ZERO);
+                let what = format!("{label} trial {trial} steps {steps:?}");
+                assert_eq!(got.meter, want.meter, "{what}: meter");
+                assert_eq!(got.decoded_packets, want.decoded_packets, "{what}");
+                assert_eq!(
+                    got.evm_db.map(f64::to_bits),
+                    want.evm_db.map(f64::to_bits),
+                    "{what}: evm bits"
+                );
+                assert_eq!(got.packets, want.packets, "{what}: packets");
             }
+        }
+    }
+
+    #[test]
+    fn run_shard_is_a_cursor_seeded_per_shard() {
+        // A shard equals a fresh cursor seeded with the shard seed and
+        // started at the shard's first packet, also when it runs on the
+        // arena a previous shard of the same key left behind.
+        for cfg in cursor_cases() {
+            let label = format!("{:?}", cfg.front_end);
+            let sim = LinkSimulation::new(cfg.clone());
+            let (first, n, seed) = (2, cfg.packets - 1, 0xfeed);
+            let mut cursor = LinkCursor::with_scratch(
+                cfg.clone(),
+                first,
+                seed,
+                PacketScratch::new(cfg.rate, cfg.profile, cfg.osr),
+            );
+            cursor.step(n);
+            let first_run = sim.run_shard(first, n, seed);
+            let warm = sim.run_shard(first, n, seed);
+            assert_tally_eq(&first_run, cursor.tally(), &format!("{label} first"));
+            assert_tally_eq(&warm, cursor.tally(), &format!("{label} warm"));
         }
     }
 

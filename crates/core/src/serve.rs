@@ -8,19 +8,20 @@
 //! over from unbounded queueing. This module supplies that engine with
 //! three hard guarantees:
 //!
-//! 1. **Determinism.** Every session carries its own forked RNG stream
-//!    and front-end state, and its chunks are processed strictly in
-//!    order (a session is never claimed by two workers at once — it
-//!    lives in the run queue at most once). Chunk processing is exactly
-//!    the body of [`LinkSimulation::run_batched`]'s batch loop with the
-//!    state carried across chunks, so a session's accumulated
+//! 1. **Determinism.** A session is a link cursor — the same packet
+//!    stepper behind [`LinkSimulation::run`] — that owns its RNG
+//!    stream, front-end state and tally. Serving a chunk steps the
+//!    cursor by the chunk's packets, and a session's chunks are stepped
+//!    strictly in order (a session is never claimed by two workers at
+//!    once — it lives in the run queue at most once). Since any split
+//!    of a cursor's steps gives the same tally, a session's accumulated
 //!    [`LinkReport`] is **bit-identical to `LinkSimulation::run`** for
 //!    any worker count, chunk size, or interleaving.
 //! 2. **No allocation after admission.** [`SessionEngine::admit`]
 //!    preallocates everything the session will ever need: the
-//!    [`PacketScratch`]/[`BatchScratch`] arenas (worst-case receive
-//!    scratch included), the chunk-result ring, the scheduler queues
-//!    and the latency log (sized by the admission-time packet budget).
+//!    cursor's packet arena (worst-case receive scratch included), the
+//!    chunk-result ring, the scheduler queues and the latency log
+//!    (sized by the admission-time packet budget).
 //!    Steady-state serving performs zero heap allocations — proved by
 //!    the counting-allocator cases in `zero_alloc.rs` and the
 //!    `steady_state_allocs` flag of `BENCH_serve.json`.
@@ -41,16 +42,16 @@
 //! With a serial pool the whole engine runs inline on the caller's
 //! thread, which is both the bit-identical reference configuration and
 //! the configuration the counting-allocator proof measures.
+//!
+//! [`LinkSimulation`]: crate::link::LinkSimulation
+//! [`LinkSimulation::run`]: crate::link::LinkSimulation::run
 
-use crate::link::{BatchScratch, FrontEndState, LinkConfig, LinkReport, LinkSimulation};
+use crate::link::{LinkConfig, LinkCursor, LinkReport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-use wlan_dsp::Rng;
 use wlan_exec::ThreadPool;
-use wlan_meas::BerMeter;
-use wlan_phy::Receiver;
 
 /// Engine sizing: every bound is fixed at construction and enforced,
 /// never grown.
@@ -59,9 +60,9 @@ pub struct ServeConfig {
     /// Admission capacity: [`SessionEngine::admit`] rejects session
     /// `max_sessions + 1`.
     pub max_sessions: usize,
-    /// Packets per scheduling chunk (the batch size of the per-chunk
-    /// [`LinkSimulation::run_batched`] plane). The last chunk of a
-    /// session may be ragged.
+    /// Packets per scheduling chunk: one chunk is one step of the
+    /// session's link cursor. The last chunk of a session may be
+    /// ragged.
     pub chunk_packets: usize,
     /// Per-session result-ring capacity in chunks. A worker that finds
     /// the ring full parks the session until the collector drains it.
@@ -87,12 +88,35 @@ pub enum AdmitError {
     /// sessions — budget exhausted, results drained — are recycled
     /// before this is returned.
     Full,
+    /// The link carries no traffic: zero initial packets or a zero-byte
+    /// PSDU.
+    EmptyLink,
+    /// The admission budget does not cover the initial traffic.
+    BudgetBelowTraffic {
+        /// Initial traffic (`LinkConfig::packets`).
+        packets: usize,
+        /// Requested admission budget.
+        max_packets: usize,
+    },
 }
 
 impl std::fmt::Display for AdmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdmitError::Full => write!(f, "engine is at max_sessions; admission rejected"),
+            AdmitError::EmptyLink => {
+                write!(
+                    f,
+                    "link has zero packets or a zero-byte PSDU; admission rejected"
+                )
+            }
+            AdmitError::BudgetBelowTraffic {
+                packets,
+                max_packets,
+            } => write!(
+                f,
+                "admission budget {max_packets} below initial traffic {packets}"
+            ),
         }
     }
 }
@@ -181,25 +205,15 @@ impl ChunkRing {
     }
 }
 
-/// Everything a worker needs to advance one session: the simulation,
-/// its forked RNG stream, the settled front-end filters, the batch
-/// plane, and the accumulated report state. Owned by exactly one
-/// worker at a time (per-session mutex), never by two.
+/// Everything a worker needs to advance one session: its link cursor
+/// (stream state and tally) and the traffic bookkeeping. Owned by
+/// exactly one worker at a time (per-session mutex), never by two.
 struct SessionCore {
-    sim: LinkSimulation,
-    rng: Rng,
-    fe: FrontEndState,
-    batch: BatchScratch,
-    rx: Receiver,
-    /// Packets fully processed so far.
-    next_packet: usize,
+    cursor: LinkCursor,
     /// Packets fed so far (admission + [`SessionEngine::feed`]).
     fed: usize,
     /// Admission-time ceiling on `fed`.
     max_packets: usize,
-    meter: BerMeter,
-    evm_sum_db: f64,
-    decoded: usize,
     /// Sum of chunk service times, reported as [`LinkReport::elapsed`].
     service_ns: u64,
 }
@@ -349,43 +363,34 @@ impl SessionEngine {
     ///
     /// # Errors
     ///
-    /// [`AdmitError::Full`] when all `max_sessions` slots hold live
+    /// The link is checked before any slot is looked at or recycled:
+    /// - [`AdmitError::EmptyLink`] on zero initial packets or a
+    ///   zero-byte PSDU;
+    /// - [`AdmitError::BudgetBelowTraffic`] if `max_packets <
+    ///   link.packets`.
+    ///
+    /// Then [`AdmitError::Full`] when all `max_sessions` slots hold live
     /// sessions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_packets < link.packets` (the admission budget
-    /// must cover the initial traffic), or on a zero-packet config
-    /// (via [`LinkSimulation::new`]).
     pub fn admit(&mut self, link: LinkConfig, max_packets: usize) -> Result<SessionId, AdmitError> {
+        if link.packets == 0 || link.psdu_len == 0 {
+            return Err(AdmitError::EmptyLink);
+        }
+        if max_packets < link.packets {
+            return Err(AdmitError::BudgetBelowTraffic {
+                packets: link.packets,
+                max_packets,
+            });
+        }
         let reuse = if self.slots.len() == self.cfg.max_sessions {
             Some(self.find_retired_slot().ok_or(AdmitError::Full)?)
         } else {
             None
         };
-        assert!(
-            max_packets >= link.packets,
-            "admission budget {max_packets} below initial traffic {}",
-            link.packets
-        );
-        let seed = link.seed;
-        let fed = link.packets;
-        let profile = link.profile;
-        let sim = LinkSimulation::new(link);
-        let fe = sim.front_end_state(seed);
         let core = SessionCore {
-            sim,
-            rng: Rng::new(seed),
-            fe,
-            batch: BatchScratch::default(),
-            rx: Receiver::with_profile(profile),
-            next_packet: 0,
-            fed,
+            fed: link.packets,
             max_packets,
-            meter: BerMeter::new(),
-            evm_sum_db: 0.0,
-            decoded: 0,
             service_ns: 0,
+            cursor: LinkCursor::new(link),
         };
         let col = self.collector.get_mut().expect("collector lock");
         let sid = match reuse {
@@ -423,7 +428,7 @@ impl SessionEngine {
             let core = slot.core.get_mut().expect("session lock");
             let ring = slot.ring.get_mut().expect("ring");
             let retired = core.fed == core.max_packets
-                && core.next_packet == core.fed
+                && core.cursor.next_packet() == core.fed
                 && ring.len == 0
                 && col.pending[sid] == 0;
             retired.then_some(sid)
@@ -482,7 +487,7 @@ impl SessionEngine {
             let run_q = self.sched.run_q.get_mut().expect("run queue");
             for (sid, slot) in self.slots.iter_mut().enumerate() {
                 let core = slot.core.get_mut().expect("session lock");
-                let remaining = core.fed - core.next_packet;
+                let remaining = core.fed - core.cursor.next_packet();
                 col.pending[sid] = remaining.div_ceil(self.cfg.chunk_packets);
                 if remaining > 0 {
                     run_q.push_back(sid as u32);
@@ -529,19 +534,13 @@ impl SessionEngine {
     /// [`LinkSimulation::run`] would have produced for the packets fed
     /// so far ([`LinkReport::elapsed`] is the summed chunk service
     /// time; every other field is bit-identical).
+    ///
+    /// [`LinkSimulation::run`]: crate::link::LinkSimulation::run
     pub fn report(&self, session: SessionId) -> LinkReport {
         let core = self.slots[session].core.lock().expect("session lock");
-        LinkReport {
-            packets: core.next_packet,
-            decoded_packets: core.decoded,
-            meter: core.meter,
-            evm_db: if core.decoded > 0 {
-                Some(core.evm_sum_db / core.decoded as f64)
-            } else {
-                None
-            },
-            elapsed: Duration::from_nanos(core.service_ns),
-        }
+        core.cursor
+            .tally()
+            .link_report(Duration::from_nanos(core.service_ns))
     }
 
     /// The link configuration a session was admitted with.
@@ -550,7 +549,7 @@ impl SessionEngine {
             .core
             .lock()
             .expect("session lock")
-            .sim
+            .cursor
             .config()
             .clone()
     }
@@ -648,72 +647,28 @@ impl SessionEngine {
         }
     }
 
-    /// Simulates the next chunk of `sid` and publishes its result.
-    /// Returns whether the session still has traffic afterwards.
+    /// Steps `sid`'s cursor by one chunk and publishes the chunk's
+    /// result. Returns whether the session still has traffic afterwards.
     fn process_one(&self, sid: usize) -> bool {
         let slot = &self.slots[sid];
         let t0 = Instant::now();
-        let (mut stat, more) = {
+        let (stat, more) = {
             let mut core = slot.core.lock().expect("session lock");
-            let stat = Self::process_chunk(&mut core, self.cfg.chunk_packets);
-            (stat, core.next_packet < core.fed)
-        };
-        stat.service_ns = t0.elapsed().as_nanos() as u64;
-        {
-            let mut core = slot.core.lock().expect("session lock");
+            let first = core.cursor.next_packet();
+            let n = self.cfg.chunk_packets.min(core.fed - first);
+            debug_assert!(n > 0, "scheduled a session with no pending traffic");
+            let decoded_before = core.cursor.tally().decoded_packets;
+            core.cursor.step(n);
+            let stat = ChunkStat {
+                packets: n as u32,
+                decoded: (core.cursor.tally().decoded_packets - decoded_before) as u32,
+                service_ns: t0.elapsed().as_nanos() as u64,
+            };
             core.service_ns += stat.service_ns;
-        }
-        let mut ring = slot.ring.lock().expect("ring");
-        ring.push(stat);
-        drop(ring);
+            (stat, first + n < core.fed)
+        };
+        slot.ring.lock().expect("ring").push(stat);
         more
-    }
-
-    /// The chunk kernel: exactly one iteration of
-    /// [`LinkSimulation::run_batched`]'s batch loop, with the RNG,
-    /// front-end filters and report accumulators carried in the
-    /// session core — which is what makes any chunking of a session
-    /// bit-identical to the serial run.
-    fn process_chunk(core: &mut SessionCore, chunk_packets: usize) -> ChunkStat {
-        let SessionCore {
-            sim,
-            rng,
-            fe,
-            batch,
-            rx,
-            next_packet,
-            fed,
-            meter,
-            evm_sum_db,
-            decoded,
-            ..
-        } = core;
-        let n = chunk_packets.min(*fed - *next_packet);
-        debug_assert!(n > 0, "scheduled a session with no pending traffic");
-        sim.run_batch(*next_packet, n, rng, fe, batch);
-        let psdu_len = sim.config().psdu_len;
-        let mut start = 0;
-        let mut chunk_decoded = 0u32;
-        for (i, &len) in batch.out_segments.iter().enumerate() {
-            let seg = &batch.out_plane[start..start + len];
-            let sent = &batch.psdus[i * psdu_len..(i + 1) * psdu_len];
-            match rx.receive_into(seg, &mut fe.scratch.rx) {
-                Ok(sum) if fe.scratch.rx.psdu.len() == sent.len() => {
-                    meter.update_bytes(sent, &fe.scratch.rx.psdu);
-                    *evm_sum_db += sum.evm_db();
-                    *decoded += 1;
-                    chunk_decoded += 1;
-                }
-                _ => meter.update_lost_packet(8 * psdu_len),
-            }
-            start += len;
-        }
-        *next_packet += n;
-        ChunkStat {
-            packets: n as u32,
-            decoded: chunk_decoded,
-            service_ns: 0,
-        }
     }
 
     /// Drains `sid`'s ring into the collector state, re-queues the
@@ -757,7 +712,7 @@ fn percentiles(sorted_ns: &[u64]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::FrontEnd;
+    use crate::link::{FrontEnd, LinkSimulation};
     use wlan_phy::Rate;
 
     fn quick_link(seed: u64, packets: usize) -> LinkConfig {
@@ -792,6 +747,43 @@ mod tests {
         assert!(eng.admit(quick_link(1, 2), 2).is_ok());
         assert!(eng.admit(quick_link(2, 2), 2).is_ok());
         assert_eq!(eng.admit(quick_link(3, 2), 2), Err(AdmitError::Full));
+    }
+
+    #[test]
+    fn empty_links_are_rejected() {
+        let mut eng = SessionEngine::new(ServeConfig::default());
+        assert_eq!(eng.admit(quick_link(1, 0), 4), Err(AdmitError::EmptyLink));
+        let empty_psdu = LinkConfig {
+            psdu_len: 0,
+            ..quick_link(1, 2)
+        };
+        assert_eq!(eng.admit(empty_psdu, 4), Err(AdmitError::EmptyLink));
+        assert_eq!(eng.sessions(), 0, "a rejected link takes no slot");
+    }
+
+    #[test]
+    fn budget_below_traffic_is_rejected() {
+        let mut eng = SessionEngine::new(ServeConfig {
+            max_sessions: 1,
+            ..ServeConfig::default()
+        });
+        assert_eq!(
+            eng.admit(quick_link(1, 3), 2),
+            Err(AdmitError::BudgetBelowTraffic {
+                packets: 3,
+                max_packets: 2
+            })
+        );
+        // A retired slot is not recycled for a rejected link: the
+        // served session keeps its report.
+        let sid = eng.admit(quick_link(2, 2), 2).unwrap();
+        eng.drive(&ThreadPool::serial());
+        assert!(matches!(
+            eng.admit(quick_link(3, 3), 2),
+            Err(AdmitError::BudgetBelowTraffic { .. })
+        ));
+        let want = LinkSimulation::new(quick_link(2, 2)).run();
+        assert_reports_equal(&eng.report(sid), &want, "retired session");
     }
 
     #[test]

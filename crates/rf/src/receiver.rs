@@ -202,68 +202,15 @@ impl DoubleConversionReceiver {
         let mid = &mut scratch.mid;
         mid.clear();
         mid.extend_from_slice(x);
-        self.run_stages(mid);
-        self.agc.process_in_place(mid);
-        out.clear();
-        out.reserve(mid.len() / self.config.osr + 1);
-        self.decimate_into(mid, out);
-    }
-
-    /// Processes a batch of `segments.len()` packet frames stored
-    /// back-to-back in `plane` (`segments[i]` is frame `i`'s length; the
-    /// lengths must sum to `plane.len()`). The five front-end stages run
-    /// once over the whole sample plane — long, branch-free inner loops —
-    /// then the AGC and decimator run per segment in packet order, since
-    /// ideal AGC normalizes per frame and the decimator phase and DC
-    /// correction carry across frames. Both orderings feed every stage
-    /// the identical input sequence, so the output is bit-identical to
-    /// calling [`DoubleConversionReceiver::process_into`] on each frame
-    /// in turn. `out_segments` receives the per-frame output lengths
-    /// (frame `i`'s baseband occupies the matching run of `out`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment lengths do not sum to `plane.len()`.
-    pub fn process_batch_into(
-        &mut self,
-        plane: &[Complex],
-        segments: &[usize],
-        scratch: &mut RfScratch,
-        out: &mut Vec<Complex>,
-        out_segments: &mut Vec<usize>,
-    ) {
-        assert_eq!(
-            segments.iter().sum::<usize>(),
-            plane.len(),
-            "segment lengths must cover the sample plane"
-        );
-        let mid = &mut scratch.mid;
-        mid.clear();
-        mid.extend_from_slice(plane);
-        self.run_stages(mid);
-        out.clear();
-        out.reserve(mid.len() / self.config.osr + segments.len());
-        out_segments.clear();
-        out_segments.reserve(segments.len());
-        let mut start = 0;
-        for &len in segments {
-            let seg = &mut mid[start..start + len];
-            self.agc.process_in_place(seg);
-            let produced = out.len();
-            self.decimate_into(seg, out);
-            out_segments.push(out.len() - produced);
-            start += len;
-        }
-    }
-
-    /// One in-place pass per stage up to (and including) the
-    /// channel-select filter.
-    fn run_stages(&mut self, mid: &mut [Complex]) {
         self.lna.process_in_place(mid);
         self.mixer1.process_in_place(mid);
         self.hpf.process_in_place(mid);
         self.mixer2.process_in_place(mid);
         self.channel_filter.process_in_place(mid);
+        self.agc.process_in_place(mid);
+        out.clear();
+        out.reserve(mid.len() / self.config.osr + 1);
+        self.decimate_into(mid, out);
     }
 
     /// Plain sample picking: channel selectivity is entirely the
@@ -330,18 +277,6 @@ impl DoubleConversionReceiver {
             adc,
             baseband,
         }
-    }
-
-    /// Processes without decimation (diagnostics at the oversampled rate,
-    /// e.g. spectrum measurements before channel filtering effects).
-    pub fn process_oversampled(&mut self, x: &[Complex]) -> Vec<Complex> {
-        let v = self.lna.process(x);
-        let v = self.mixer1.process(&v);
-        let v = self.hpf.process(&v);
-        let v = self.mixer2.process(&v);
-        let v = self.channel_filter.process(&v);
-        let v = self.agc.process(&v);
-        self.adc.process(&v)
     }
 }
 
@@ -577,41 +512,6 @@ mod tests {
         assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(want.iter()) {
             assert!(a.re == b.re && a.im == b.im, "{a:?} != {b:?}");
-        }
-    }
-
-    #[test]
-    fn batch_plane_matches_serial_frames_bit_exact() {
-        // Noise ON: the batch kernel must draw every RNG stream in the
-        // serial per-frame order. Ragged segments (unequal lengths, not
-        // multiples of the OSR) also exercise the carried decimator
-        // phase and DC-correction state across segment boundaries.
-        let segments = [4000usize, 1, 2999, 4800];
-        let total: usize = segments.iter().sum();
-        let x = tone_dbm(2e6, 80e6, -45.0, total);
-        let mut serial = DoubleConversionReceiver::new(RfConfig::default(), 42);
-        let mut batch = DoubleConversionReceiver::new(RfConfig::default(), 42);
-        let mut scratch = RfScratch::default();
-        let mut want = Vec::new();
-        let mut want_segments = Vec::new();
-        let mut frame_out = Vec::new();
-        let mut start = 0;
-        for &len in &segments {
-            serial.process_into(&x[start..start + len], &mut scratch, &mut frame_out);
-            want.extend_from_slice(&frame_out);
-            want_segments.push(frame_out.len());
-            start += len;
-        }
-        let mut got = Vec::new();
-        let mut got_segments = Vec::new();
-        batch.process_batch_into(&x, &segments, &mut scratch, &mut got, &mut got_segments);
-        assert_eq!(got_segments, want_segments);
-        assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(want.iter()) {
-            assert!(
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                "{a:?} != {b:?}"
-            );
         }
     }
 

@@ -1,14 +1,15 @@
-//! Differential test layer for the batch plane: the batch RF chain and
-//! the batched link driver must be **bit-identical** to their scalar
-//! counterparts — and, where one exists, to the conformance reference
-//! implementation — across randomized rates, payload lengths (tail/pad
-//! edges), RF configurations and batch sizes (1, N, and a ragged last
-//! batch). The Viterbi decoder every lane ends in is checked against
-//! the conformance reference trellis as well.
+//! Differential test layer: every optimized kernel must be
+//! **bit-identical** to its reference implementation — the fused RF
+//! chain to the staged Vec pipeline, frame after frame with its state
+//! carried across frame boundaries; the Viterbi decoder to the
+//! conformance reference trellis; the chunked co-simulation engine to
+//! its sample-by-sample loop; and the link stepped in batches of
+//! packets to the one-step `run`.
 //!
 //! Exact `==` on decoded bits and `f64::to_bits` on samples throughout:
-//! the batch plane exists so the goldens, the pinned sweeps and the
-//! Annex G gates never need re-blessing, so "close" is failure here.
+//! these kernels are only allowed to be faster, so the goldens, the
+//! pinned sweeps and the Annex G gates never need re-blessing, and
+//! "close" is failure here.
 
 use wlan_ams::CosimReceiver;
 use wlan_dsp::{Complex, Rng};
@@ -42,10 +43,11 @@ fn noise_burst(rng: &mut Rng, n: usize, power: f64) -> Vec<Complex> {
     (0..n).map(|_| rng.complex_gaussian(power)).collect()
 }
 
-/// RF chain: `process_batch_into` over a multi-segment plane equals the
-/// per-frame fused kernel equals the staged reference pipeline, for
-/// several front-end configs and segment layouts (single segment,
-/// equal segments, ragged lengths).
+/// RF chain: the fused `process_into` equals the staged reference
+/// pipeline frame by frame, for several front-end configs and frame
+/// layouts (single frame, equal frames, ragged lengths), so the filter,
+/// decimator-phase and DC-correction state carried across frame
+/// boundaries stays pinned.
 #[test]
 fn rf_chain_batch_matches_scalar_and_staged() {
     let configs = vec![
@@ -67,65 +69,27 @@ fn rf_chain_batch_matches_scalar_and_staged() {
         ),
     ];
     let layouts: Vec<Vec<usize>> = vec![
-        vec![1600],               // batch of one
-        vec![1200, 1200, 1200],   // equal segments
+        vec![1600],               // one frame
+        vec![1200, 1200, 1200],   // equal frames
         vec![2000, 640, 1333, 4], // ragged, incl. a tiny tail
     ];
     let mut rng = Rng::new(0x5eed);
     for (name, cfg) in &configs {
         for (li, layout) in layouts.iter().enumerate() {
-            let mut plane = Vec::new();
-            let mut segments = Vec::new();
-            for &len in layout {
-                plane.extend(noise_burst(&mut rng, len, 1e-7));
-                segments.push(len);
-            }
             let seed = 0xabc + li as u64;
-            let mut batch_rx = DoubleConversionReceiver::new(*cfg, seed);
             let mut frame_rx = DoubleConversionReceiver::new(*cfg, seed);
             let mut staged_rx = DoubleConversionReceiver::new(*cfg, seed);
             let mut scratch = RfScratch::default();
-            let mut out_plane = Vec::new();
-            let mut out_segments = Vec::new();
-            batch_rx.process_batch_into(
-                &plane,
-                &segments,
-                &mut scratch,
-                &mut out_plane,
-                &mut out_segments,
-            );
-            assert_eq!(out_segments.len(), segments.len(), "{name}/{li}");
-            assert_eq!(
-                out_segments.iter().sum::<usize>(),
-                out_plane.len(),
-                "{name}/{li}: segment sum"
-            );
-            // Reference 1: the per-frame fused kernel, frame by frame.
-            let mut frame_plane = Vec::new();
             let mut y = Vec::new();
-            let mut start = 0;
-            for &len in &segments {
-                frame_rx.process_into(&plane[start..start + len], &mut scratch, &mut y);
-                frame_plane.extend_from_slice(&y);
-                start += len;
+            for (fi, &len) in layout.iter().enumerate() {
+                let frame = noise_burst(&mut rng, len, 1e-7);
+                frame_rx.process_into(&frame, &mut scratch, &mut y);
+                assert_bits_eq(
+                    &y,
+                    &staged_rx.process_staged(&frame),
+                    &format!("{name}/{li} frame {fi}: process_into vs process_staged"),
+                );
             }
-            assert_bits_eq(
-                &out_plane,
-                &frame_plane,
-                &format!("{name}/{li} vs process_into"),
-            );
-            // Reference 2: the staged Vec-pipeline reference.
-            let mut staged_plane = Vec::new();
-            let mut start = 0;
-            for &len in &segments {
-                staged_plane.extend(staged_rx.process_staged(&plane[start..start + len]));
-                start += len;
-            }
-            assert_bits_eq(
-                &out_plane,
-                &staged_plane,
-                &format!("{name}/{li} vs process_staged"),
-            );
         }
     }
 }
@@ -200,10 +164,10 @@ fn cosim_block_path_matches_sample_by_sample() {
     }
 }
 
-/// The batch link driver against the serial per-packet reference,
-/// cross-crate: one RF-baseband config with the adjacent channel and a
-/// ragged final batch. (The per-front-end matrix lives in wlan-sim's
-/// unit tests; this pins the public surface.)
+/// The link stepped in batches against the one-step `run`, cross-crate:
+/// one RF-baseband config with the adjacent channel and a ragged final
+/// batch. (The per-front-end split matrix lives in wlan-sim's unit
+/// tests; this pins the public surface.)
 #[test]
 fn link_run_batched_matches_serial_run() {
     let cfg = LinkConfig {
