@@ -329,12 +329,6 @@ impl McAccumulator for ShardReport {
     }
 }
 
-/// Keeps the receiver's inline LTF template 16-byte aligned whatever
-/// the cursor's field layout: at an 8-mod-16 offset, the Ideal receive
-/// loop measured about 8% slower.
-#[repr(align(16))]
-struct Aligned16<T>(T);
-
 /// One link stream, stepped packet by packet. It owns everything that
 /// carries from one packet to the next: the payload and channel RNG, the
 /// settled front-end filters and noise stream, the packet arena, the
@@ -350,7 +344,7 @@ pub(crate) struct LinkCursor {
     config: LinkConfig,
     rng: Rng,
     fe: FrontEndState,
-    rx: Aligned16<Receiver>,
+    rx: Receiver,
     /// Global index of the next packet; it picks the scrambler seeds.
     next_packet: usize,
     tally: ShardReport,
@@ -377,7 +371,7 @@ impl LinkCursor {
         LinkCursor {
             rng: Rng::new(seed),
             fe: FrontEndState::new(&config, seed, scratch),
-            rx: Aligned16(Receiver::with_profile(config.profile)),
+            rx: Receiver::with_profile(config.profile),
             next_packet: first_packet,
             tally: ShardReport::default(),
             config,
@@ -501,7 +495,7 @@ impl LinkCursor {
                 }
             };
 
-            match rx.0.receive_into(dsp_input, rxs) {
+            match rx.receive_into(dsp_input, rxs) {
                 Ok(sum) if rxs.psdu.len() == psdu.len() => {
                     tally.meter.update_bytes(psdu, &rxs.psdu);
                     tally.evm_sum_db += sum.evm_db();

@@ -191,7 +191,12 @@ impl RxScratch {
 /// The default configuration performs blind detection, coarse + fine CFO
 /// correction, LTF timing, LS channel estimation, pilot phase tracking
 /// and soft-decision Viterbi decoding.
+///
+/// 16-byte aligned, so the inline LTF template is too wherever a caller
+/// holds the receiver: at an 8-mod-16 offset the Ideal receive loop
+/// measured about 8% slower.
 #[derive(Debug, Clone)]
+#[repr(align(16))]
 pub struct Receiver {
     ofdm: Ofdm,
     /// LTF time-domain template (first `fft_size` entries valid), cached
