@@ -4,20 +4,88 @@
 //! machines and library versions, so the workspace ships its own small
 //! generator instead of depending on an external crate: xoshiro256**
 //! (Blackman & Vigna, 2018) seeded through SplitMix64, with uniform,
-//! Gaussian (polar Box-Muller) and complex-Gaussian output. The block
-//! forms (`fill_gaussian`, `add_complex_gaussian`) return the same bits
-//! as the per-call forms, so frame-sized noise loops can use them
-//! without changing any simulated result.
+//! Gaussian and complex-Gaussian output. Gaussians come from an exact
+//! 256-layer ziggurat (Marsaglia & Tsang, 2000; tail after Marsaglia,
+//! 1964) that reads layer, sign and a 53-bit value from disjoint bits of
+//! one `u64` (bits 0–7, 8 and 11–63), so layer and value are independent
+//! (Doornik, 2005). `exp` and `ln` run only on the cold ~1.5 % edge path.
+//! The block forms are loops over the scalar draw, so they give its bits.
 
 use crate::complex::Complex;
+use std::sync::OnceLock;
 
-/// Accepted Box-Muller pairs per [`Rng::fill_gaussian`] block (three
-/// stack arrays of this many `f64`).
-const GAUSS_BLOCK: usize = 64;
+/// Unnormalized standard-normal density `exp(−x²/2)`.
+fn density(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
 
-/// Complex samples per [`Rng::add_complex_gaussian`] chunk (a stack
-/// buffer of twice this many `f64`).
-pub const COMPLEX_CHUNK: usize = 256;
+/// `∫_r^∞ exp(−x²/2) dx`, from Laplace's continued fraction for the
+/// Mills ratio, `1/(r + 1/(r + 2/(r + 3/(r + …))))`, which has converged
+/// to the last bit well before 100 terms for every `r ≥ 3`.
+fn tail_area(r: f64) -> f64 {
+    let t = (1..=100).rev().fold(r, |t, n| r + n as f64 / t);
+    density(r) / t
+}
+
+/// The 256-layer ziggurat under `f(x) = exp(−x²/2)`, `x ≥ 0`: layer 0
+/// is `[0, r] × [0, f(r)]` plus the tail beyond `r`, layer `i ≥ 1` is
+/// `[0, x[i]] × [f(x[i]), f(x[i + 1])]`, and all have the same area
+/// `v = r·f(r) + ∫_r^∞ f`.
+struct Ziggurat {
+    /// `x[0] = v/f(r)` (layer 0 as one rectangle), `x[1] = r > x[2] >
+    /// … > x[255]`, `x[256] = 0`.
+    x: [f64; 257],
+    /// `f[i] = exp(−x[i]²/2)`, with `f[256] = 1`.
+    f: [f64; 257],
+    /// `w[i] = x[i]·2^−53`, which scales a 53-bit value to layer `i`.
+    w: [f64; 256],
+}
+
+impl Ziggurat {
+    /// Stacks 255 layers of area `v(r)` from `r` upward: the widths, and
+    /// how far the last layer's top `f(x[255]) + v/x[255]` lands above
+    /// the density's peak 1 (`+∞` if the stack overshoots it early).
+    fn stack(r: f64) -> ([f64; 257], f64) {
+        let v = r * density(r) + tail_area(r);
+        let mut x = [0.0; 257];
+        x[0] = v / density(r);
+        x[1] = r;
+        // f(x[i + 1]) = f(x[i]) + v/x[i], carried up the stack.
+        let mut top = density(r);
+        for i in 1..255 {
+            top += v / x[i];
+            if top >= 1.0 {
+                return (x, f64::INFINITY);
+            }
+            x[i + 1] = (-2.0 * top.ln()).sqrt();
+        }
+        (x, top + v / x[255] - 1.0)
+    }
+
+    /// Bisects `r` until the interval cannot shrink (a larger `r` leaves
+    /// less area per layer, so the overshoot falls), then tabulates.
+    fn new() -> Self {
+        let (mut lo, mut hi, mut mid) = (3.0f64, 4.0f64, 3.5f64);
+        while lo < mid && mid < hi {
+            if Self::stack(mid).1 > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            mid = 0.5 * (lo + hi);
+        }
+        let (x, _) = Self::stack(hi);
+        let f = x.map(density);
+        let w = std::array::from_fn(|i| x[i] * (1.0 / (1u64 << 53) as f64));
+        Ziggurat { x, f, w }
+    }
+}
+
+/// The process-wide tables, built on first use.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(Ziggurat::new)
+}
 
 /// xoshiro256** pseudo-random generator.
 ///
@@ -32,8 +100,6 @@ pub const COMPLEX_CHUNK: usize = 256;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rng {
     s: [u64; 4],
-    /// Cached second Box-Muller deviate.
-    gauss_spare: Option<f64>,
 }
 
 impl Rng {
@@ -51,10 +117,7 @@ impl Rng {
             z ^ (z >> 31)
         };
         let s = [next_sm(), next_sm(), next_sm(), next_sm()];
-        Rng {
-            s,
-            gauss_spare: None,
-        }
+        Rng { s }
     }
 
     /// Derives an independent child generator (for per-block noise
@@ -116,102 +179,73 @@ impl Rng {
         }
     }
 
-    /// Standard-normal deviate (zero mean, unit variance) via the polar
-    /// Box-Muller method.
+    /// Standard-normal deviate (zero mean, unit variance) from the
+    /// ziggurat.
+    #[inline]
     pub fn gaussian(&mut self) -> f64 {
-        if let Some(g) = self.gauss_spare.take() {
-            return g;
-        }
-        loop {
-            let u = 2.0 * self.uniform() - 1.0;
-            let v = 2.0 * self.uniform() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let k = (-2.0 * s.ln() / s).sqrt();
-                self.gauss_spare = Some(v * k);
-                return u * k;
-            }
-        }
+        self.normal(ziggurat())
     }
 
     /// Fills `out` with exactly the values `out.len()` successive
-    /// [`Rng::gaussian`] calls would return, to the bit — a pending spare
-    /// deviate is consumed first, and an odd count leaves the last pair's
-    /// second deviate as the spare for the next call.
-    ///
-    /// Works in blocks of 64 pairs held on the stack: first
-    /// the serial xoshiro chain draws uniform pairs and keeps the accepted
-    /// `(u, v, s)` triples (the accept test only advances a cursor, so a
-    /// rejected pair is overwritten by the next), then an independent
-    /// pass applies `(-2·ln s / s).sqrt()` to every kept triple so the
-    /// `ln`/div/sqrt latencies overlap instead of stalling the chain.
-    /// Each deviate sees the same float operations in the same order as
-    /// the scalar path.
+    /// [`Rng::gaussian`] calls would return.
     pub fn fill_gaussian(&mut self, out: &mut [f64]) {
-        let out = match (self.gauss_spare.take(), out) {
-            (Some(g), [first, rest @ ..]) => {
-                *first = g;
-                rest
-            }
-            (spare, out) => {
-                self.gauss_spare = spare;
-                out
-            }
-        };
-        let mut us = [0.0f64; GAUSS_BLOCK];
-        let mut vs = [0.0f64; GAUSS_BLOCK];
-        let mut ss = [0.0f64; GAUSS_BLOCK];
-        for chunk in out.chunks_mut(2 * GAUSS_BLOCK) {
-            let want = chunk.len().div_ceil(2);
-            let mut k = 0;
-            while k < want {
-                let u = 2.0 * self.uniform() - 1.0;
-                let v = 2.0 * self.uniform() - 1.0;
-                let s = u * u + v * v;
-                us[k] = u;
-                vs[k] = v;
-                ss[k] = s;
-                k += ((s > 0.0) & (s < 1.0)) as usize;
-            }
-            let mut pairs = chunk.chunks_exact_mut(2);
-            for (((pair, &u), &v), &s) in pairs.by_ref().zip(&us).zip(&vs).zip(&ss) {
-                let m = (-2.0 * s.ln() / s).sqrt();
-                pair[0] = u * m;
-                pair[1] = v * m;
-            }
-            // Only the final chunk can be odd: its last pair fills one
-            // slot and parks the other deviate as the spare.
-            if let [last] = pairs.into_remainder() {
-                let (u, v, s) = (us[want - 1], vs[want - 1], ss[want - 1]);
-                let m = (-2.0 * s.ln() / s).sqrt();
-                *last = u * m;
-                self.gauss_spare = Some(v * m);
-            }
-        }
+        let z = ziggurat();
+        out.fill_with(|| self.normal(z));
     }
 
     /// Circularly-symmetric complex Gaussian sample with total variance
     /// `E[|z|²] = variance` (i.e. `variance/2` per real dimension).
+    #[inline]
     pub fn complex_gaussian(&mut self, variance: f64) -> Complex {
-        let sigma = (variance / 2.0).sqrt();
-        Complex::new(sigma * self.gaussian(), sigma * self.gaussian())
+        let (sigma, z) = ((variance / 2.0).sqrt(), ziggurat());
+        Complex::new(sigma * self.normal(z), sigma * self.normal(z))
     }
 
     /// Adds one [`Rng::complex_gaussian`]`(variance)` sample to every
-    /// element of `buf`, bit-identical to the per-sample loop: sigma is
-    /// the same value hoisted, and the deviates come from
-    /// [`Rng::fill_gaussian`] in chunks of [`COMPLEX_CHUNK`] samples
-    /// through a stack buffer, so no call allocates.
+    /// element of `buf`, bit-identical to the per-sample loop.
     pub fn add_complex_gaussian(&mut self, buf: &mut [Complex], variance: f64) {
-        let sigma = (variance / 2.0).sqrt();
-        let mut g = [0.0f64; 2 * COMPLEX_CHUNK];
-        for chunk in buf.chunks_mut(COMPLEX_CHUNK) {
-            let g = &mut g[..2 * chunk.len()];
-            self.fill_gaussian(g);
-            for (v, d) in chunk.iter_mut().zip(g.chunks_exact(2)) {
-                *v += Complex::new(sigma * d[0], sigma * d[1]);
+        let (sigma, z) = ((variance / 2.0).sqrt(), ziggurat());
+        for v in buf {
+            *v += Complex::new(sigma * self.normal(z), sigma * self.normal(z));
+        }
+    }
+
+    /// One ziggurat deviate: a uniform point in a random layer, kept when
+    /// it lies under the layer above, else settled by `normal_edge`.
+    #[inline(always)]
+    fn normal(&mut self, z: &Ziggurat) -> f64 {
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0xff) as usize;
+            let sign = (bits & 0x100) << 55;
+            let x = (bits >> 11) as f64 * z.w[i];
+            if x < z.x[i + 1] {
+                return f64::from_bits(x.to_bits() | sign);
+            }
+            if let Some(x) = self.normal_edge(z, i, x) {
+                return f64::from_bits(x.to_bits() | sign);
             }
         }
+    }
+
+    /// The slow ~1.5 %: in layer 0 a draw from the tail beyond `r`
+    /// (Marsaglia, 1964); in any other layer the wedge test of `x`
+    /// against the density, `None` meaning reject and draw again.
+    #[cold]
+    #[inline(never)]
+    fn normal_edge(&mut self, z: &Ziggurat, i: usize, x: f64) -> Option<f64> {
+        if i == 0 {
+            let r = z.x[1];
+            loop {
+                let a = -(1.0 - self.uniform()).ln() / r;
+                let b = -(1.0 - self.uniform()).ln();
+                if 2.0 * b > a * a {
+                    return Some(r + a);
+                }
+            }
+        }
+        let y = z.f[i] + self.uniform() * (z.f[i + 1] - z.f[i]);
+        (y < density(x)).then_some(x)
     }
 }
 
@@ -285,25 +319,18 @@ mod tests {
     fn fill_gaussian_matches_scalar_calls() {
         for seed in 0..16u64 {
             for &len in &FILL_LENS {
-                for with_spare in [false, true] {
+                for skip in [0, 1] {
                     let mut block = Rng::new(seed);
-                    if with_spare {
-                        // One scalar draw leaves the pair's second deviate
-                        // pending.
+                    for _ in 0..skip {
                         block.gaussian();
-                        assert!(block.gauss_spare.is_some());
                     }
                     let mut scalar = block.clone();
                     let mut got = vec![0.0; len];
                     block.fill_gaussian(&mut got);
                     let want: Vec<f64> = (0..len).map(|_| scalar.gaussian()).collect();
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "seed {seed} len {len} spare {with_spare}"
-                    );
-                    // Same xoshiro state and same pending spare after.
-                    assert_eq!(block, scalar, "seed {seed} len {len} spare {with_spare}");
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} len {len} skip {skip}");
+                    // Same xoshiro state after.
+                    assert_eq!(block, scalar, "seed {seed} len {len} skip {skip}");
                 }
             }
         }
@@ -335,14 +362,7 @@ mod tests {
     #[test]
     fn add_complex_gaussian_matches_complex_gaussian() {
         for seed in 0..16u64 {
-            for len in [
-                0,
-                1,
-                COMPLEX_CHUNK - 1,
-                COMPLEX_CHUNK,
-                COMPLEX_CHUNK + 1,
-                1337,
-            ] {
+            for len in [0, 1, 2, 255, 256, 257, 1337] {
                 let mut block = Rng::new(seed);
                 let mut scalar = block.clone();
                 let base: Vec<Complex> = (0..len)
@@ -358,6 +378,110 @@ mod tests {
                 assert_eq!(block, scalar, "seed {seed} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn ziggurat_layers_close() {
+        let z = ziggurat();
+        let r = z.x[1];
+        // Marsaglia & Tsang's published r for 256 layers.
+        assert!((r - 3.654_152_885_361_009).abs() < 1e-14, "r = {r}");
+        // The tail area against a composite Simpson integral, [r, r + 12]
+        // in 2^16 panels (the rest of the tail is below e^−100).
+        let (n, h) = (1 << 16, 12.0 / (1 << 16) as f64);
+        let simpson = (0..=n)
+            .map(|k| {
+                let w = if k == 0 || k == n {
+                    1.0
+                } else {
+                    [2.0, 4.0][k % 2]
+                };
+                w * density(r + k as f64 * h)
+            })
+            .sum::<f64>()
+            * h
+            / 3.0;
+        let tail = tail_area(r);
+        assert!(
+            (tail / simpson - 1.0).abs() < 1e-12,
+            "tail {tail} vs {simpson}"
+        );
+        let v = r * density(r) + tail;
+        assert!((v - 4.928_673_233_99e-3).abs() < 1e-13, "v = {v}");
+        // Base layer: rectangle under f(r) plus the tail.
+        assert!((z.x[0] * z.f[1] / v - 1.0).abs() < 1e-15);
+        let mut worst = 0.0f64;
+        for i in 1..256 {
+            assert!(z.x[i + 1] < z.x[i], "layer {i} widths not decreasing");
+            let area = z.x[i] * (z.f[i + 1] - z.f[i]);
+            worst = worst.max((area / v - 1.0).abs());
+            assert!(
+                (area / v - 1.0).abs() < 1e-12,
+                "layer {i}: area {area} vs {v}"
+            );
+        }
+        assert_eq!((z.x[256], z.f[256]), (0.0, 1.0));
+        // The top layer closes on the density's peak.
+        let top = z.f[255] + v / z.x[255];
+        assert!((top - 1.0).abs() < 1e-12, "top layer reaches {top}");
+        eprintln!(
+            "r = {r:e}, v = {v:e}, worst layer area error {worst:e}, top {:e}",
+            top - 1.0
+        );
+    }
+
+    /// The layer whose strip `[x[i+1], x[i])` holds `|g|`, with the tail
+    /// beyond `r` counted as layer 0.
+    fn strip(z: &Ziggurat, g: f64) -> usize {
+        z.x[1..].partition_point(|&x| x > g.abs())
+    }
+
+    /// Chi-square statistic, standardized as `(χ² − df)/√(2·df)`, of a
+    /// 2 × k contingency table of counts.
+    fn contingency_z(table: &[[u64; 2]]) -> f64 {
+        let n: u64 = table.iter().map(|r| r[0] + r[1]).sum();
+        let cols = [0, 1].map(|c| table.iter().map(|r| r[c]).sum::<u64>() as f64);
+        let chi2: f64 = table
+            .iter()
+            .flat_map(|row| {
+                let total = (row[0] + row[1]) as f64;
+                (0..2).map(move |c| {
+                    let e = total * cols[c] / n as f64;
+                    (row[c] as f64 - e).powi(2) / e
+                })
+            })
+            .sum();
+        let df = (table.len() - 1) as f64;
+        (chi2 - df) / (2.0 * df).sqrt()
+    }
+
+    /// The sign of a deviate is independent of the strip its magnitude
+    /// falls in, the observable trace of its layer. Bits 0–7 choose the
+    /// layer and bit 8 the sign, so a shared bit would show here.
+    fn check_sign_versus_layer(n: u64, seed: u64) {
+        let z = ziggurat();
+        let mut rng = Rng::new(seed);
+        let mut table = [[0u64; 2]; 256];
+        for _ in 0..n {
+            let g = rng.gaussian();
+            table[strip(z, g)][g.is_sign_negative() as usize] += 1;
+        }
+        let score = contingency_z(&table);
+        assert!(score.abs() < 5.0, "sign versus layer: z = {score:.2}");
+    }
+
+    #[test]
+    fn sign_is_independent_of_layer() {
+        check_sign_versus_layer(1 << 22, 31);
+    }
+
+    /// The 10^8-draw version; opt in with `WLANSIM_SLOW_TESTS=1`.
+    #[test]
+    fn sign_is_independent_of_layer_long() {
+        if std::env::var("WLANSIM_SLOW_TESTS").as_deref() != Ok("1") {
+            return;
+        }
+        check_sign_versus_layer(100_000_000, 32);
     }
 
     #[test]

@@ -77,13 +77,17 @@ impl Mixer {
             .dc_offset_dbm
             .map(|dbm| Complex::from_re(dbm.to_amplitude().0))
             .unwrap_or(Complex::ZERO);
+        // Every noise process forks its stream in this fixed order whether
+        // or not it is configured, so switching one on or off leaves the
+        // others' draws unchanged.
         let thermal = ThermalNoise::from_noise_figure(config.nf_db, sample_rate_hz, rng.fork());
+        let flicker_rng = rng.fork();
         let flicker = config.flicker_corner_hz.map(|corner| {
             FlickerNoise::new(
                 crate::noise::added_noise_power(config.nf_db, sample_rate_hz).max(1e-30),
                 corner.0,
                 sample_rate_hz,
-                rng.fork(),
+                flicker_rng,
             )
         });
         let phase_noise = PhaseNoise::new(config.lo_linewidth_hz.0, sample_rate_hz, rng.fork());
@@ -269,6 +273,46 @@ mod tests {
             lowband > 5.0 * highband,
             "flicker not visible: {lowband} vs {highband}"
         );
+    }
+
+    #[test]
+    fn flicker_leaves_thermal_and_phase_noise_draws_unchanged() {
+        // Flicker is added after IQ/gain, so with a balanced 0 dB mixer
+        // and no DC offset the output is `(x + thermal)·cis(φ) + flicker`:
+        // with flicker off the same input must give the flicker-on output
+        // minus the flicker alone.
+        let cfg = MixerConfig {
+            gain_db: Db(0.0),
+            nf_db: Db(10.0),
+            lo_linewidth_hz: Hz(5e3),
+            ..Default::default()
+        };
+        let with = MixerConfig {
+            flicker_corner_hz: Some(Hz(100e3)),
+            ..cfg
+        };
+        let fs = 80e6;
+        let x = tone(2e6, fs, 1e-4, 4096);
+        let mut off = Mixer::new(cfg, fs, Rng::new(11));
+        let mut on = Mixer::new(with, fs, Rng::new(11));
+        let y_off = off.process(&x);
+        let y_on = on.process(&x);
+        assert_ne!(y_off, y_on);
+        // The flicker stream is the second fork of the mixer's RNG.
+        let mut parent = Rng::new(11);
+        let _thermal = parent.fork();
+        let mut flicker = FlickerNoise::new(
+            crate::noise::added_noise_power(cfg.nf_db, fs),
+            100e3,
+            fs,
+            parent.fork(),
+        );
+        for (i, (&a, &b)) in y_off.iter().zip(&y_on).enumerate() {
+            let want = a + flicker.next_sample();
+            assert_eq!(want.re.to_bits(), b.re.to_bits(), "sample {i}");
+            assert_eq!(want.im.to_bits(), b.im.to_bits(), "sample {i}");
+        }
+        assert_eq!(off.phase_noise.phase(), on.phase_noise.phase());
     }
 
     #[test]

@@ -52,14 +52,12 @@ impl ThermalNoise {
     }
 
     /// Adds one noise sample to every element of `buf` — the stage-major
-    /// form of calling [`ThermalNoise::next_sample`] per sample, drawn in
-    /// blocks through [`Rng::add_complex_gaussian`], which is
-    /// bit-identical to per-sample `complex_gaussian` calls.
+    /// form of calling [`ThermalNoise::next_sample`] per sample, through
+    /// [`Rng::add_complex_gaussian`], so bit-identical.
     pub fn add_to(&mut self, buf: &mut [Complex]) {
-        if self.power <= 0.0 {
-            return;
+        if self.power > 0.0 {
+            self.rng.add_complex_gaussian(buf, self.power);
         }
-        self.rng.add_complex_gaussian(buf, self.power);
     }
 }
 
@@ -71,9 +69,6 @@ const MAX_FLICKER_SECTIONS: usize = 11;
 /// unless `D_k = 1`, its pole sits at least 128× below its update rate,
 /// so linear interpolation between updates holds the designed spectrum.
 const STRIDE_MARGIN: f64 = 128.0;
-
-/// Drive deviates pre-drawn per [`Rng::fill_gaussian`] refill.
-const DRIVE_BLOCK: usize = 64;
 
 /// One octave section of a [`FlickerNoise`]: the AR(1) process
 /// `x[n] = p·x[n−1] + g·w[n]` with pole `p = exp(−2π·f/fs)`, gain `g`
@@ -155,9 +150,6 @@ pub struct FlickerNoise {
     /// The flicker sum over the current block is `base + slope·offset`.
     base: Complex,
     slope: Complex,
-    /// Pre-drawn drive deviates; `deviates[used..]` are still unused.
-    deviates: [f64; DRIVE_BLOCK],
-    used: usize,
 }
 
 impl FlickerNoise {
@@ -201,8 +193,6 @@ impl FlickerNoise {
             offset: block,
             base: Complex::ZERO,
             slope: Complex::ZERO,
-            deviates: [0.0; DRIVE_BLOCK],
-            used: DRIVE_BLOCK,
         }
     }
 
@@ -218,13 +208,7 @@ impl FlickerNoise {
             if t == 0 {
                 // The drive is `complex_gaussian(2.0)`, whose sigma is
                 // exactly 1.0, so the deviates are used as drawn.
-                if self.used == DRIVE_BLOCK {
-                    self.rng.fill_gaussian(&mut self.deviates);
-                    self.used = 0;
-                }
-                let w = Complex::new(self.deviates[self.used], self.deviates[self.used + 1]);
-                self.used += 2;
-                s.update(w);
+                s.update(Complex::new(self.rng.gaussian(), self.rng.gaussian()));
             }
             // Sample `t + j` of the stride lies `D − 1 − t − j` steps
             // before `next`.
@@ -346,9 +330,8 @@ mod tests {
 
     #[test]
     fn thermal_add_to_matches_next_sample() {
-        use wlan_dsp::rng::COMPLEX_CHUNK;
         for seed in 0..4 {
-            for n in [1, COMPLEX_CHUNK - 1, COMPLEX_CHUNK, COMPLEX_CHUNK + 1, 5377] {
+            for n in [1, 2, 63, 64, 65, 5377] {
                 let mut block = ThermalNoise::new(3e-9, Rng::new(seed));
                 let mut scalar = block.clone();
                 let mut got = ramp(n);

@@ -5,10 +5,6 @@
 use wlan_dsp::rotor::Rotor;
 use wlan_dsp::{Complex, Rng};
 
-/// Samples per [`PhaseNoise::process_in_place`] chunk (one stack buffer
-/// of this many `f64` deviates).
-const PHASE_CHUNK: usize = 256;
-
 /// Wiener phase-noise process.
 ///
 /// The phase performs a random walk with per-sample variance
@@ -45,12 +41,7 @@ impl PhaseNoise {
 
     /// A disabled (zero phase noise) source.
     pub fn off() -> Self {
-        PhaseNoise {
-            sigma: 0.0,
-            rotor: Rotor::walk(),
-            rng: Rng::new(0),
-            enabled: false,
-        }
+        PhaseNoise::new(0.0, 1.0, Rng::new(0))
     }
 
     /// Enables or disables the noise process.
@@ -75,22 +66,15 @@ impl PhaseNoise {
     }
 
     /// Applies the oscillator to a frame in place — one enabled check for
-    /// the whole frame instead of per sample, and the walk's increments
-    /// drawn in chunks of 256 through [`Rng::fill_gaussian`]
-    /// into a stack buffer; otherwise the exact per-sample recurrence of
-    /// [`PhaseNoise::push`], so bit-identical.
+    /// the whole frame instead of per sample; otherwise the exact
+    /// per-sample recurrence of [`PhaseNoise::push`], so bit-identical.
     pub fn process_in_place(&mut self, x: &mut [Complex]) {
         if !self.enabled {
             return;
         }
-        let mut g = [0.0f64; PHASE_CHUNK];
-        for chunk in x.chunks_mut(PHASE_CHUNK) {
-            let g = &mut g[..chunk.len()];
-            self.rng.fill_gaussian(g);
-            for (v, &d) in chunk.iter_mut().zip(g.iter()) {
-                *v *= self.rotor.phasor();
-                self.rotor.step_by(self.sigma * d);
-            }
+        for v in x {
+            *v *= self.rotor.phasor();
+            self.rotor.step_by(self.sigma * self.rng.gaussian());
         }
     }
 
@@ -114,7 +98,7 @@ mod tests {
     #[test]
     fn process_in_place_matches_push() {
         for seed in 0..4 {
-            for n in [1, PHASE_CHUNK - 1, PHASE_CHUNK, PHASE_CHUNK + 1, 5377] {
+            for n in [1, 2, 63, 64, 65, 5377] {
                 let x: Vec<Complex> = (0..n).map(|i| Complex::from_polar(1.5, i as f64)).collect();
                 let mut block = PhaseNoise::new(5e3, 80e6, Rng::new(seed));
                 let mut scalar = block.clone();
@@ -207,6 +191,47 @@ mod tests {
             (var / expect - 1.0).abs() < 0.15,
             "var {var} vs expected {expect}"
         );
+    }
+
+    /// The walk's increments `φ[n+1] − φ[n]` are white Gaussian with
+    /// variance `2π·linewidth/fs`: their mean, variance and lag-1
+    /// correlation each within 5σ of their sampling error over `n` steps.
+    fn check_wiener_increments(n: usize) {
+        let (lw, fs) = (5e3, 80e6);
+        let want = 2.0 * std::f64::consts::PI * lw / fs;
+        let mut pn = PhaseNoise::new(lw, fs, Rng::new(41));
+        let (mut sum, mut sum2, mut lag1, mut prev) = (0.0, 0.0, 0.0, 0.0);
+        let mut phase = pn.phase();
+        for _ in 0..n {
+            pn.push(Complex::ONE);
+            let d = pn.phase() - phase;
+            phase = pn.phase();
+            sum += d;
+            sum2 += d * d;
+            lag1 += prev * d;
+            prev = d;
+        }
+        let m = n as f64;
+        let z_mean = sum / m / (want / m).sqrt();
+        let z_var = (sum2 / m - want) / (want * (2.0 / m).sqrt());
+        let z_lag1 = lag1 / (m - 1.0) / (want * (1.0 / (m - 1.0)).sqrt());
+        for (what, z) in [("mean", z_mean), ("variance", z_var), ("lag-1", z_lag1)] {
+            assert!(z.abs() <= 5.0, "increment {what}: {z:+.2}σ");
+        }
+    }
+
+    #[test]
+    fn wiener_increments_have_the_linewidth_variance() {
+        check_wiener_increments(1 << 22);
+    }
+
+    /// The 10^8-step version; opt in with `WLANSIM_SLOW_TESTS=1`.
+    #[test]
+    fn wiener_increments_have_the_linewidth_variance_long() {
+        if std::env::var("WLANSIM_SLOW_TESTS").as_deref() != Ok("1") {
+            return;
+        }
+        check_wiener_increments(100_000_000);
     }
 
     #[test]
