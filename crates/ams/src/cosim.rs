@@ -412,7 +412,11 @@ mod tests {
             a.process_into(frame, &mut ya);
             b.process_into_sample_by_sample(frame, &mut yb);
             assert_eq!(ya.len(), yb.len());
-            for (s, t) in ya.iter().zip(&yb) {
+            // The leveled analog-rate samples too: the 10-bit ADC alone
+            // would round a small deviation away, and the AGC would
+            // level out a wrong gain.
+            assert_eq!(a.analog.len(), b.analog.len());
+            for (s, t) in ya.iter().zip(&yb).chain(a.analog.iter().zip(&b.analog)) {
                 assert_eq!(
                     (s.re.to_bits(), s.im.to_bits()),
                     (t.re.to_bits(), t.im.to_bits()),
@@ -453,6 +457,12 @@ mod tests {
             // tone below (p1db -40 dBm at the input of a 20 dB stage).
             (
                 "a amp rf n1 gain=20 p1db=-40\nl cheb_lp n1 out edge=8M order=4\n",
+                1,
+            ),
+            // The longest filter a netlist may declare: 8 sections, two
+            // full groups of the solver's sample-major cascade.
+            (
+                "m mixer rf n1 gain=6\nl cheb_lp n1 out edge=10M order=16\n",
                 1,
             ),
         ];

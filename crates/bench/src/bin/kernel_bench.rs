@@ -184,8 +184,8 @@ fn main() {
     g.finish();
 
     // --- Co-simulation: chunked analog engine (memoryless ZOH prefix,
-    // device-major blocks, section wavefront) vs the sample-by-sample
-    // reference loop, on the same frame at analog osr 8. ---
+    // device-major blocks, sample-major section cascade) vs the
+    // sample-by-sample reference loop, on the same frame at analog osr 8. ---
     let cosim_osr = 8;
     let mut cosim_opt = CosimReceiver::new(80e6, cosim_osr, 4).expect("default netlist");
     let mut cosim_ref = CosimReceiver::new(80e6, cosim_osr, 4).expect("default netlist");

@@ -97,28 +97,65 @@ pub fn bessel_i0(x: f64) -> f64 {
     sum
 }
 
-/// Complementary error function `erfc(x)`.
+/// Complementary error function `erfc(x)`, to double precision.
 ///
-/// Uses the numerically stable rational approximation from Numerical
-/// Recipes (fractional error < 1.2e-7 everywhere), adequate for BER
-/// theory curves.
+/// `erfc(z) = Γ(½, z²)/√π` for `z ≥ 0`. Below `z² = 3/2` it is `1 −
+/// erf(z)` from the all-positive series `erf(z) = 2z·e^{−z²}/√π ·
+/// Σ (2z²)ⁿ/(1·3·…·(2n+1))`, where `erfc ≥ 0.08` so the subtraction
+/// loses at most a few bits. Beyond, it is the continued fraction for
+/// `Γ(½, z²)` evaluated by the modified Lentz method, which converges
+/// in at most about 60 terms there. Tests check it against tabulated
+/// values to 1e-14 relative. Negative arguments use `erfc(−z) =
+/// 2 − erfc(z)`.
 pub fn erfc(x: f64) -> f64 {
+    const FRAC_1_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI / 2.0;
     let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
+    let z2 = z * z;
+    if z2 < 1.5 {
+        let (mut term, mut sum) = (1.0, 1.0);
+        for n in 1..64 {
+            term *= 2.0 * z2 / (2 * n + 1) as f64;
+            sum += term;
+            if term < sum * f64::EPSILON {
+                break;
+            }
+        }
+        // Odd in `x`, so the sign carries through.
+        return 1.0 - 2.0 * x * (-z2).exp() * FRAC_1_SQRT_PI * sum;
+    }
+    let scale = (-z2).exp();
+    // Past z ≈ 27.3 the result underflows; stop before `z²` itself can
+    // overflow the fraction into NaN.
+    let tail = if scale == 0.0 {
+        0.0
     } else {
-        2.0 - ans
+        // Γ(a, w) = e^{−w}·w^a / (w + 1 − a − 1·(1 − a)/(w + 3 − a − …)),
+        // a = ½, w = z².
+        let tiny = f64::MIN_POSITIVE / f64::EPSILON;
+        let mut b = z2 + 0.5;
+        let (mut c, mut d) = (1.0 / tiny, 1.0 / b);
+        let mut h = d;
+        for i in 1..200 {
+            let an = -(i as f64) * (i as f64 - 0.5);
+            b += 2.0;
+            d = an * d + b;
+            d = 1.0 / if d.abs() < tiny { tiny } else { d };
+            c = b + an / c;
+            if c.abs() < tiny {
+                c = tiny;
+            }
+            let delta = d * c;
+            h *= delta;
+            if (delta - 1.0).abs() < f64::EPSILON {
+                break;
+            }
+        }
+        scale * z * h * FRAC_1_SQRT_PI
+    };
+    if x >= 0.0 {
+        tail
+    } else {
+        2.0 - tail
     }
 }
 
@@ -198,10 +235,36 @@ mod tests {
 
     #[test]
     fn erfc_reference_values() {
-        assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-        assert!((erfc(1.0) - 0.15729920705028513).abs() < 1e-6);
-        assert!((erfc(-1.0) - 1.8427007929497148).abs() < 1e-6);
-        assert!(erfc(6.0) < 1e-15);
+        // Tabulated values rounded to the nearest double; the series
+        // covers 0.5 and 1, the continued fraction 2, 3 and 5.
+        for (x, want) in [
+            (0.5, 0.479_500_122_186_953_5),
+            (1.0, 0.157_299_207_050_285_13),
+            (2.0, 4.677_734_981_047_266e-3),
+            (3.0, 2.209_049_699_858_544e-5),
+            (5.0, 1.537_459_794_428_035e-12),
+        ] {
+            let rel = (erfc(x) / want - 1.0).abs();
+            assert!(rel < 1e-14, "erfc({x}) = {:e}, off by {rel:e}", erfc(x));
+            let mirrored = erfc(-x) - (2.0 - want);
+            assert!(mirrored.abs() < 1e-15, "erfc(-{x}) off by {mirrored:e}");
+        }
+        assert_eq!(erfc(0.0), 1.0);
+        // Continuous across the series/fraction switch at z² = 3/2: the
+        // step over ±h matches the slope −2·e^{−z²}/√π.
+        let (edge, h) = (1.5f64.sqrt(), 1e-9);
+        let step = erfc(edge + h) - erfc(edge - h);
+        let slope = -std::f64::consts::FRAC_2_SQRT_PI * (-1.5f64).exp();
+        assert!(
+            (step / (2.0 * h * slope) - 1.0).abs() < 1e-6,
+            "step {step:e}"
+        );
+        assert_eq!(
+            (erfc(30.0), erfc(1e200), erfc(f64::INFINITY)),
+            (0.0, 0.0, 0.0)
+        );
+        assert_eq!(erfc(f64::NEG_INFINITY), 2.0);
+        assert!(erfc(f64::NAN).is_nan());
     }
 
     #[test]

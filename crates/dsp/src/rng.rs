@@ -381,6 +381,18 @@ mod tests {
     }
 
     #[test]
+    fn tail_area_matches_q_function() {
+        // Two independent evaluations of the Gaussian tail: Laplace's
+        // fraction for the Mills ratio here, `math::erfc` behind
+        // `q_function`. Both sides beyond `x`: `2·Q(x) = 2·∫_x^∞ f/√(2π)`.
+        for x in [3.0, ziggurat().x[1], 4.0, 5.0] {
+            let two_sided = 2.0 * tail_area(x) / (2.0 * std::f64::consts::PI).sqrt();
+            let rel = (2.0 * crate::math::q_function(x) / two_sided - 1.0).abs();
+            assert!(rel < 1e-14, "2·Q({x}) off the tail area by {rel:e}");
+        }
+    }
+
+    #[test]
     fn ziggurat_layers_close() {
         let z = ziggurat();
         let r = z.x[1];
