@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 use wlan_exec::ThreadPool;
-use wlan_sim::experiments::{ip3, Effort, Engine};
+use wlan_sim::experiments::{execute, ip3, Effort, Engine, RunContext};
 
 /// Schema version of `BENCH_sweep.json`.
 const BENCH_JSON_SCHEMA: u32 = 2;
@@ -60,38 +60,32 @@ fn run_tier(tier: Tier, threads: usize) -> RunRecord {
         effort.packets
     );
 
-    let t0 = Instant::now();
-    let serial = ip3::run_parallel(
-        effort,
-        lo_dbm,
-        hi_dbm,
+    let exp = ip3::Ip3Sweep {
+        lo_dbm: wlan_units::Dbm(lo_dbm),
+        hi_dbm: wlan_units::Dbm(hi_dbm),
         points,
-        seed,
-        &wlan_phy::IEEE_802_11A,
-        &Engine::serial(),
-    );
-    let serial_s = t0.elapsed().as_secs_f64();
+    };
+    // The sharded estimator on one worker, then on `threads`.
+    let sweep = |engine: Engine| {
+        let mut ctx = RunContext {
+            engine,
+            serial: false,
+            ..RunContext::serial_reference(effort, seed)
+        };
+        let t = Instant::now();
+        let out = execute(&exp, &mut ctx);
+        (out, t.elapsed().as_secs_f64())
+    };
+    let (serial, serial_s) = sweep(Engine::serial());
+    let (parallel, parallel_s) = sweep(Engine::with_threads(threads));
 
-    let t1 = Instant::now();
-    let parallel = ip3::run_parallel(
-        effort,
-        lo_dbm,
-        hi_dbm,
-        points,
-        seed,
-        &wlan_phy::IEEE_802_11A,
-        &Engine::with_threads(threads),
-    );
-    let parallel_s = t1.elapsed().as_secs_f64();
-
-    let identical = serial.points == parallel.points;
+    let identical = serial.snapshot == parallel.snapshot;
     let speedup = serial_s / parallel_s.max(1e-12);
 
     let labels: Vec<(String, std::time::Duration)> = parallel
         .points
         .iter()
-        .map(|p| format!("{:.0}", p.iip3_dbm))
-        .zip(parallel.point_elapsed.iter().copied())
+        .map(|p| (p.label.clone(), p.elapsed.unwrap_or_default()))
         .collect();
     wlan_bench::harness::report_point_timing(&format!("sweep_bench[{mode}]"), &labels);
     println!("serial   {serial_s:.3} s");

@@ -152,6 +152,10 @@ pub fn all() -> Vec<PinnedGolden> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlan_rf::nonlinearity::Nonlinearity;
+    use wlan_rf::receiver::RfConfig;
+    use wlan_sim::experiments::RunOutput;
+    use wlan_sim::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
 
     #[test]
     fn snapshots_are_reproducible() {
@@ -179,11 +183,38 @@ mod tests {
 
     #[test]
     fn registry_path_matches_legacy_run() {
-        // The trait impl must delegate to the exact legacy estimator:
-        // same function, same arguments, same seed.
-        let via_trait = ip3_sweep().fields;
-        let legacy =
-            ip3::run(Effort::quick(), -40.0, 0.0, 4, 7, &wlan_phy::IEEE_802_11A).snapshot();
-        assert_eq!(via_trait, legacy);
+        // The pinned run is the serial estimator: every point's BER is
+        // `LinkSimulation::run` of that point's configuration, bit for
+        // bit, with the same seed.
+        let out = RunOutput {
+            snapshot: ip3_sweep().fields,
+            ..RunOutput::default()
+        };
+        let (iip3s, bers) = (out.column("iip3_dbm"), out.column("ber"));
+        assert_eq!(iip3s.len(), 4);
+        let effort = Effort::quick();
+        for (i, (iip3, ber)) in iip3s.into_iter().zip(bers).enumerate() {
+            let rf = RfConfig {
+                lna_nonlinearity: Nonlinearity::Cubic {
+                    iip3_dbm: wlan_units::Dbm(iip3),
+                },
+                ..RfConfig::default()
+            };
+            let report = LinkSimulation::new(LinkConfig {
+                rate: Rate::R36,
+                psdu_len: effort.psdu_len,
+                packets: effort.packets,
+                seed: 7,
+                rx_level_dbm: -40.0,
+                adjacent: Some(AdjacentChannel {
+                    offset_hz: wlan_phy::params::SAMPLE_RATE,
+                    rel_db: 6.0,
+                }),
+                front_end: FrontEnd::RfBaseband(rf),
+                ..LinkConfig::default()
+            })
+            .run();
+            assert_eq!(ber.to_bits(), report.ber().to_bits(), "point {i}");
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! `±fs/(2·16) = ±625 kHz`, so the link must hold to ±208 kHz with
 //! margin and collapse past the estimator range.
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{bounded, curve, Axis, Extra, LinkSweep, Reading, Series};
+use crate::experiments::{Effort, Experiment, RunContext, RunOutput, SweepBounds};
 use wlan_channel::awgn::Awgn;
 use wlan_dataflow::sweep::Sweep;
 use wlan_dsp::{Complex, Rng};
@@ -13,57 +13,13 @@ use wlan_meas::BerMeter;
 use wlan_phy::params::SAMPLE_RATE;
 use wlan_phy::{Rate, Receiver, Transmitter};
 
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CfoPoint {
-    /// Applied carrier offset (Hz).
-    pub cfo_hz: f64,
-    /// Measured BER.
-    pub ber: f64,
-    /// Mean absolute CFO estimation error over decoded packets (Hz).
-    pub est_err_hz: f64,
-    /// Bits counted.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct CfoResult {
-    /// Rate used.
-    pub rate: Rate,
-    /// Points in ascending offset.
-    pub points: Vec<CfoPoint>,
-}
-
-impl CfoResult {
-    /// Renders the sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "BER vs carrier frequency offset ({}); 802.11a spec ±208 kHz",
-                self.rate
-            ),
-            &["CFO [kHz]", "BER", "est err [kHz]", "plot"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.0}", p.cfo_hz / 1e3),
-                format_ber(p.ber, p.bits),
-                format!("{:.1}", p.est_err_hz / 1e3),
-                bar(p.ber, 0.5, 30),
-            ]);
-        }
-        t
-    }
-
-    /// The largest offset still decoding below `threshold` BER.
-    pub fn tolerance_hz(&self, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .rev()
-            .find(|p| p.ber < threshold)
-            .map(|p| p.cfo_hz)
-    }
+/// The largest offset (kHz) of a CFO output still decoding below
+/// `threshold` BER.
+pub fn tolerance_khz(out: &RunOutput, threshold: f64) -> Option<f64> {
+    curve(out, "cfo_khz", "ber")
+        .rev()
+        .find(|&(_, ber)| ber < threshold)
+        .map(|(khz, _)| khz)
 }
 
 /// Registry entry: the CFO-tolerance sweep for the blind receiver.
@@ -105,62 +61,55 @@ impl Experiment for CfoSweep {
         "BER vs carrier frequency offset; spec is +/-208 kHz"
     }
 
+    /// The sweep at 20 dB SNR with offsets from 0 to `max_hz`; beside
+    /// the BER, the table shows the mean absolute CFO estimation error
+    /// over decoded packets.
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(ctx.effort, self.rate, self.max_hz.0, self.points, ctx.seed)
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.max_hz.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut snapshot = vec![
-            ("n_points".to_string(), r.points.len() as f64),
-            ("rate_mbps".to_string(), r.rate.mbps() as f64),
-        ];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].cfo_khz"), p.cfo_hz / 1e3));
-            snapshot.push((format!("points[{i:02}].ber"), p.ber));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
+        let rate = self.rate;
+        let rx = Receiver::new();
+        let series = Series::custom("ber", "BER", Some("plot"), |_, cfo, ctx| {
+            measure_point(ctx.effort, rate, &rx, cfo, ctx.seed)
+        });
+        let mut out = LinkSweep {
+            title: format!("BER vs carrier frequency offset ({rate}); 802.11a spec ±208 kHz"),
+            axis: Axis {
+                key: "cfo_khz",
+                scale: |hz| hz / 1e3,
+                label: |hz| format!("{:.0}kHz", hz / 1e3),
+                columns: vec![("CFO [kHz]", |hz| format!("{:.0}", hz / 1e3))],
+                values: Sweep::linspace(0.0, self.max_hz.0, self.points.max(2)),
+            },
+            series: vec![series.with_extra(Extra {
+                key: None,
+                header: "est err [kHz]",
+                cell: |hz| format!("{:.1}", hz / 1e3),
+            })],
+            header: vec![("rate_mbps", rate.mbps() as f64)],
+            bar_width: 30,
         }
-        let mut out = RunOutput {
-            tables: vec![r.table()],
-            snapshot,
-            points: r
-                .points
-                .iter()
-                .map(|p| PointStat {
-                    label: format!("{:.0}kHz", p.cfo_hz / 1e3),
-                    elapsed: None,
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
-        };
-        if let Some(tol) = r.tolerance_hz(0.01) {
-            out.notes.push(format!(
-                "tolerated offset at BER<1e-2: {:.0} kHz",
-                tol / 1e3
-            ));
+        .run(ctx);
+        if let Some(tol) = tolerance_khz(&out, 0.01) {
+            out.notes
+                .push(format!("tolerated offset at BER<1e-2: {tol:.0} kHz"));
         }
         out
     }
+
+    fn with_bounds(&self, b: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        bounded(
+            *self,
+            b,
+            Err("--lo (the sweep always starts at 0 Hz; use --hi)"),
+            Ok(|s, v| s.max_hz = wlan_units::Hz(v)),
+            |s| &mut s.points,
+        )
+    }
 }
 
-/// Measures one offset: the point computation is a pure function of
-/// `(effort, rate, cfo, seed)` — every RNG stream is seeded inside —
-/// so both the serial and the parallel sweep share it unchanged.
-fn measure_point(
-    effort: Effort,
-    rate: Rate,
-    rx: &Receiver,
-    cfo: f64,
-    seed: u64,
-) -> (f64, f64, u64) {
+/// Measures one offset at 20 dB SNR: a pure function of `(effort,
+/// rate, cfo, seed)` — every RNG stream is seeded inside — so both
+/// estimators and every thread count give the same reading.
+fn measure_point(effort: Effort, rate: Rate, rx: &Receiver, cfo: f64, seed: u64) -> Reading {
     let mut rng = Rng::new(seed);
     let mut noise = Awgn::new(seed ^ 0xC0FE);
     let mut meter = BerMeter::new();
@@ -187,65 +136,30 @@ fn measure_point(
             _ => meter.update_lost_packet(8 * effort.psdu_len),
         }
     }
-    (
-        meter.ber(),
-        if decoded > 0 {
+    Reading {
+        ber: meter.ber(),
+        bits: meter.bits(),
+        extras: vec![if decoded > 0 {
             err_acc / decoded as f64
         } else {
             f64::NAN
-        },
-        meter.bits(),
-    )
-}
-
-/// Runs the sweep at 20 dB SNR with offsets from 0 to `max_hz`.
-pub fn run(effort: Effort, rate: Rate, max_hz: f64, points: usize, seed: u64) -> CfoResult {
-    let rx = Receiver::new();
-    let sweep = Sweep::linspace(0.0, max_hz, points.max(2));
-    let rows = sweep.run(|&cfo| measure_point(effort, rate, &rx, cfo, seed));
-    collect(rate, rows)
-}
-
-/// [`run`] with the offsets fanned out across the engine's pool. Each
-/// point seeds its own RNG streams, so the result is bit-identical to
-/// [`run`] for any thread count.
-pub fn run_parallel(
-    effort: Effort,
-    rate: Rate,
-    max_hz: f64,
-    points: usize,
-    seed: u64,
-    engine: &Engine,
-) -> CfoResult {
-    let rx = Receiver::new();
-    let sweep = Sweep::linspace(0.0, max_hz, points.max(2));
-    let rows = sweep.run_parallel_indexed(&engine.pool, |_i, &cfo| {
-        measure_point(effort, rate, &rx, cfo, seed)
-    });
-    collect(rate, rows)
-}
-
-fn collect(
-    rate: Rate,
-    rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>,
-) -> CfoResult {
-    CfoResult {
-        rate,
-        points: rows
-            .into_iter()
-            .map(|p| CfoPoint {
-                cfo_hz: p.param,
-                ber: p.result.0,
-                est_err_hz: p.result.1,
-                bits: p.result.2,
-            })
-            .collect(),
+        }],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::assert_thread_invariant;
+
+    fn run(effort: Effort, rate: Rate, max_hz: f64, points: usize, seed: u64) -> RunOutput {
+        let exp = CfoSweep {
+            rate,
+            max_hz: wlan_units::Hz(max_hz),
+            points,
+        };
+        exp.run(&RunContext::serial_reference(effort, seed))
+    }
 
     #[test]
     fn spec_offset_tolerated_estimator_range_limits() {
@@ -253,55 +167,57 @@ mod tests {
             packets: 3,
             psdu_len: 60,
         };
-        let r = run(effort, Rate::R12, 900e3, 4, 21);
+        let out = run(effort, Rate::R12, 900e3, 4, 21);
+        let ber = out.column("ber");
         // 0 and 300 kHz: clean. 900 kHz: beyond the ±625 kHz estimator
         // range → fails.
-        assert_eq!(r.points[0].ber, 0.0, "zero offset");
-        assert_eq!(r.points[1].ber, 0.0, "300 kHz (spec is 208 kHz)");
-        assert!(
-            r.points[3].ber > 0.1,
-            "900 kHz should break sync: {}",
-            r.points[3].ber
-        );
-        let tol = r.tolerance_hz(0.01).expect("some tolerance");
-        assert!(tol >= 300e3, "tolerance {tol}");
+        assert_eq!(ber[0], 0.0, "zero offset");
+        assert_eq!(ber[1], 0.0, "300 kHz (spec is 208 kHz)");
+        assert!(ber[3] > 0.1, "900 kHz should break sync: {}", ber[3]);
+        let tol = tolerance_khz(&out, 0.01).expect("some tolerance");
+        assert!(tol >= 300.0, "tolerance {tol} kHz");
     }
 
     #[test]
     fn estimation_error_small_in_range() {
+        // The estimation error is a table-only column; read it from the
+        // point function the sweep runs.
         let effort = Effort {
             packets: 2,
             psdu_len: 60,
         };
-        let r = run(effort, Rate::R24, 200e3, 2, 22);
-        for p in &r.points {
-            assert!(
-                p.est_err_hz < 5e3,
-                "CFO {} est err {}",
-                p.cfo_hz,
-                p.est_err_hz
-            );
+        let rx = Receiver::new();
+        for &cfo in Sweep::linspace(0.0, 200e3, 2).points() {
+            let err = measure_point(effort, Rate::R24, &rx, cfo, 22).extras[0];
+            assert!(err < 5e3, "CFO {cfo} est err {err}");
         }
-        assert!(r.table().render().contains("frequency offset"));
+        let out = run(effort, Rate::R24, 200e3, 2, 22);
+        assert!(out.table().render().contains("frequency offset"));
     }
 
     #[test]
     fn parallel_sweep_matches_serial_and_is_thread_invariant() {
+        // Both estimators run the same per-point function here, so the
+        // sharded sweep must reproduce the serial one exactly.
         let effort = Effort {
             packets: 2,
             psdu_len: 60,
         };
-        let serial = run(effort, Rate::R12, 400e3, 3, 23);
+        let exp = CfoSweep {
+            rate: Rate::R12,
+            max_hz: wlan_units::Hz(400e3),
+            points: 3,
+        };
+        let serial = exp.run(&RunContext::serial_reference(effort, 23));
         for threads in [1, 2, 4] {
-            let par = run_parallel(
-                effort,
-                Rate::R12,
-                400e3,
-                3,
-                23,
-                &Engine::with_threads(threads),
-            );
-            assert_eq!(serial.points, par.points, "{threads} threads");
+            let par = exp.run(&RunContext {
+                engine: crate::experiments::Engine::with_threads(threads),
+                serial: false,
+                ..RunContext::serial_reference(effort, 23)
+            });
+            assert_eq!(serial.snapshot, par.snapshot, "{threads} threads");
+            assert_eq!(serial.tables, par.tables, "{threads} threads");
         }
+        assert_thread_invariant(&exp, effort, 23, 4);
     }
 }

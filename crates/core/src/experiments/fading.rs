@@ -6,57 +6,11 @@
 //! dispersion while the (5·τ_rms) excess delay stays inside the 800 ns
 //! guard interval, then collapses from inter-symbol interference.
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkSimulation};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{Axis, Extra, LinkSweep, Reading, Series};
+use crate::experiments::{Experiment, RunContext, RunOutput};
+use crate::link::{FrontEnd, LinkConfig};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
-
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FadingPoint {
-    /// RMS delay spread in seconds.
-    pub trms_s: f64,
-    /// Measured BER.
-    pub ber: f64,
-    /// Packet error rate (fading causes whole-packet losses).
-    pub per: f64,
-    /// Bits counted.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct FadingResult {
-    /// Rate used.
-    pub rate: Rate,
-    /// SNR used (dB).
-    pub snr_db: f64,
-    /// Points in ascending delay spread.
-    pub points: Vec<FadingPoint>,
-}
-
-impl FadingResult {
-    /// Renders the sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "BER vs RMS delay spread ({}, {} dB SNR, guard 800 ns)",
-                self.rate, self.snr_db
-            ),
-            &["trms [ns]", "BER", "PER", "plot"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.0}", p.trms_s * 1e9),
-                format_ber(p.ber, p.bits),
-                format!("{:.2}", p.per),
-                bar(p.ber, 0.5, 40),
-            ]);
-        }
-        t
-    }
-}
 
 /// Registry entry: the §3.1 Rayleigh-fading delay-spread sweep.
 #[derive(Debug, Clone, Copy)]
@@ -97,119 +51,71 @@ impl Experiment for FadingSweep {
         "BER vs RMS delay spread over the Rayleigh fading channel"
     }
 
+    /// The sweep across delay spreads; fading loses whole packets, so
+    /// every point also reports its packet error rate.
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.rate,
-                self.snr_db.0,
-                self.trms_list,
-                ctx.seed,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.snr_db.0,
-                self.trms_list,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut snapshot = vec![
-            ("n_points".to_string(), r.points.len() as f64),
-            ("rate_mbps".to_string(), r.rate.mbps() as f64),
-            ("snr_db".to_string(), r.snr_db),
-        ];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].trms_ns"), p.trms_s * 1e9));
-            snapshot.push((format!("points[{i:02}].ber"), p.ber));
-            snapshot.push((format!("points[{i:02}].per"), p.per));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
+        let (rate, snr_db) = (self.rate, self.snr_db.0);
+        let series = Series::custom("ber", "BER", Some("plot"), move |i, trms, ctx| {
+            let report = ctx.measure(
+                LinkConfig {
+                    rate,
+                    psdu_len: ctx.effort.psdu_len,
+                    packets: ctx.effort.packets,
+                    seed: ctx.seed,
+                    snr_db: Some(snr_db),
+                    multipath_trms_s: Some(trms),
+                    front_end: FrontEnd::Ideal,
+                    ..LinkConfig::default()
+                },
+                i,
+            );
+            Reading {
+                extras: vec![report.per()],
+                ..Reading::of(&report)
+            }
+        });
+        LinkSweep {
+            title: format!("BER vs RMS delay spread ({rate}, {snr_db} dB SNR, guard 800 ns)"),
+            axis: Axis {
+                key: "trms_ns",
+                scale: |s| s * 1e9,
+                label: |s| format!("{:.0}ns", s * 1e9),
+                columns: vec![("trms [ns]", |s| format!("{:.0}", s * 1e9))],
+                values: Sweep::over(self.trms_list.to_vec()),
+            },
+            series: vec![series.with_extra(Extra {
+                key: Some("per"),
+                header: "PER",
+                cell: |per| format!("{per:.2}"),
+            })],
+            header: vec![("rate_mbps", rate.mbps() as f64), ("snr_db", snr_db)],
+            bar_width: 40,
         }
-        RunOutput {
-            tables: vec![r.table()],
-            snapshot,
-            points: r
-                .points
-                .iter()
-                .map(|p| PointStat {
-                    label: format!("{:.0}ns", p.trms_s * 1e9),
-                    elapsed: None,
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
-        }
+        .run(ctx)
         .with_note("the 800 ns guard interval tolerates roughly 5*trms <= 800 ns")
-    }
-}
-
-fn point_config(effort: Effort, rate: Rate, snr_db: f64, trms: f64, seed: u64) -> LinkConfig {
-    LinkConfig {
-        rate,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
-        seed,
-        snr_db: Some(snr_db),
-        multipath_trms_s: Some(trms),
-        front_end: FrontEnd::Ideal,
-        ..LinkConfig::default()
-    }
-}
-
-/// Runs the sweep across delay spreads (seconds).
-pub fn run(effort: Effort, rate: Rate, snr_db: f64, trms_list: &[f64], seed: u64) -> FadingResult {
-    let sweep = Sweep::over(trms_list.to_vec());
-    let rows = sweep.run(|&trms| {
-        let report = LinkSimulation::new(point_config(effort, rate, snr_db, trms, seed)).run();
-        (report.ber(), report.per(), report.meter.bits())
-    });
-    collect(rate, snr_db, rows)
-}
-
-/// [`run`] on the parallel engine: delay-spread points fan out across
-/// the engine's pool, each as a deterministic sharded schedule.
-/// Bit-identical for any thread count.
-pub fn run_parallel(
-    effort: Effort,
-    rate: Rate,
-    snr_db: f64,
-    trms_list: &[f64],
-    seed: u64,
-    engine: &Engine,
-) -> FadingResult {
-    let sweep = Sweep::over(trms_list.to_vec());
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &trms| {
-        let report = engine.measure(point_config(effort, rate, snr_db, trms, seed), i);
-        (report.ber(), report.per(), report.meter.bits())
-    });
-    collect(rate, snr_db, rows)
-}
-
-fn collect(
-    rate: Rate,
-    snr_db: f64,
-    rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>,
-) -> FadingResult {
-    FadingResult {
-        rate,
-        snr_db,
-        points: rows
-            .into_iter()
-            .map(|p| FadingPoint {
-                trms_s: p.param,
-                ber: p.result.0,
-                per: p.result.1,
-                bits: p.result.2,
-            })
-            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::assert_thread_invariant;
+    use crate::experiments::Effort;
+
+    fn run(
+        effort: Effort,
+        rate: Rate,
+        snr_db: f64,
+        trms_list: &'static [f64],
+        seed: u64,
+    ) -> RunOutput {
+        let exp = FadingSweep {
+            rate,
+            snr_db: wlan_units::Db(snr_db),
+            trms_list,
+        };
+        exp.run(&RunContext::serial_reference(effort, seed))
+    }
 
     #[test]
     fn guard_interval_limit() {
@@ -220,17 +126,16 @@ mod tests {
             packets: 8,
             psdu_len: 60,
         };
-        let r = run(effort, Rate::R12, 30.0, &[50e-9, 1e-6], 11);
-        let short = r.points[0].ber;
-        let long = r.points[1].ber;
+        let ber = run(effort, Rate::R12, 30.0, &[50e-9, 1e-6], 11).column("ber");
+        let (short, long) = (ber[0], ber[1]);
         assert!(long > short + 0.02, "no ISI collapse: {short} vs {long}");
         assert!(short < 0.05, "short delay spread already broken: {short}");
     }
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), Rate::R6, 25.0, &[100e-9], 12);
-        assert!(r.table().render().contains("delay spread"));
+        let out = run(Effort::quick(), Rate::R6, 25.0, &[100e-9], 12);
+        assert!(out.table().render().contains("delay spread"));
     }
 
     #[test]
@@ -239,18 +144,13 @@ mod tests {
             packets: 4,
             psdu_len: 60,
         };
-        let trms = &[50e-9, 400e-9];
-        let serial = run_parallel(effort, Rate::R12, 30.0, trms, 13, &Engine::serial());
+        let exp = FadingSweep {
+            rate: Rate::R12,
+            snr_db: wlan_units::Db(30.0),
+            trms_list: &[50e-9, 400e-9],
+        };
         for threads in [2, 4] {
-            let par = run_parallel(
-                effort,
-                Rate::R12,
-                30.0,
-                trms,
-                13,
-                &Engine::with_threads(threads),
-            );
-            assert_eq!(serial.points, par.points, "{threads} threads");
+            assert_thread_invariant(&exp, effort, 13, threads);
         }
     }
 }

@@ -5,58 +5,19 @@
 //! wanted OFDM band (±8.3 MHz), a too-wide filter lets the +16 dB
 //! adjacent channel through.
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{bounded, curve, Axis, LinkSweep, Series};
+use crate::experiments::{Experiment, RunContext, RunOutput, SweepBounds};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
 
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig5Point {
-    /// Filter passband edge in Hz.
-    pub edge_hz: f64,
-    /// Measured BER.
-    pub ber: f64,
-    /// Bits counted.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct Fig5Result {
-    /// The sweep points, ascending edge.
-    pub points: Vec<Fig5Point>,
-}
-
-impl Fig5Result {
-    /// Renders with the paper's x-axis ("passband edge frequency
-    /// (1.0e8 Hz)").
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Figure 5: BER vs filter bandwidth (adjacent channel present)",
-            &["edge [1e8 Hz]", "edge [MHz]", "BER", "plot"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.3}", p.edge_hz / 1e8),
-                format!("{:.1}", p.edge_hz / 1e6),
-                format_ber(p.ber, p.bits),
-                bar(p.ber, 0.5, 40),
-            ]);
-        }
-        t
-    }
-
-    /// The edge (Hz) with the lowest BER.
-    pub fn best_edge_hz(&self) -> f64 {
-        self.points
-            .iter()
-            .min_by(|a, b| a.ber.partial_cmp(&b.ber).unwrap())
-            .map(|p| p.edge_hz)
-            .unwrap_or(0.0)
-    }
+/// The edge (MHz) with the lowest BER in a Fig. 5 output.
+pub fn best_edge_mhz(out: &RunOutput) -> f64 {
+    curve(out, "edge_mhz", "ber")
+        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+        .map(|(edge, _)| edge)
+        .unwrap_or(0.0)
 }
 
 /// Registry entry: the Fig. 5 filter-bandwidth bathtub.
@@ -90,102 +51,72 @@ impl Experiment for Fig5Sweep {
         "BER vs channel-filter bandwidth, adjacent channel present"
     }
 
+    /// The sweep: 24 Mbit/s link at −55 dBm with the +16 dB adjacent
+    /// channel, Chebyshev edge from 3 to 16 MHz, tabulated on the
+    /// paper's x-axis ("passband edge frequency (1.0e8 Hz)").
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(ctx.effort, self.points, ctx.seed)
-        } else {
-            run_parallel(ctx.effort, self.points, ctx.seed, &ctx.engine)
-        };
-        let mut snapshot = vec![("n_points".to_string(), r.points.len() as f64)];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].edge_mhz"), p.edge_hz / 1e6));
-            snapshot.push((format!("points[{i:02}].ber"), p.ber));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
+        let out = LinkSweep {
+            title: "Figure 5: BER vs filter bandwidth (adjacent channel present)".into(),
+            axis: Axis {
+                key: "edge_mhz",
+                scale: |hz| hz / 1e6,
+                label: |hz| format!("{:.1}MHz", hz / 1e6),
+                columns: vec![
+                    ("edge [1e8 Hz]", |hz| format!("{:.3}", hz / 1e8)),
+                    ("edge [MHz]", |hz| format!("{:.1}", hz / 1e6)),
+                ],
+                values: Sweep::linspace(3e6, 16e6, self.points.max(2)),
+            },
+            series: vec![Series::ber(|edge_hz, ctx| {
+                let rf = RfConfig {
+                    channel_filter_edge_hz: wlan_units::Hz(edge_hz),
+                    ..RfConfig::default()
+                };
+                LinkConfig {
+                    rate: Rate::R24,
+                    psdu_len: ctx.effort.psdu_len,
+                    packets: ctx.effort.packets,
+                    seed: ctx.seed,
+                    rx_level_dbm: -55.0,
+                    adjacent: Some(AdjacentChannel::first()),
+                    front_end: FrontEnd::RfBaseband(rf),
+                    ..LinkConfig::default()
+                }
+            })],
+            header: vec![],
+            bar_width: 40,
         }
-        RunOutput {
-            tables: vec![r.table()],
-            snapshot,
-            points: r
-                .points
-                .iter()
-                .map(|p| PointStat {
-                    label: format!("{:.1}MHz", p.edge_hz / 1e6),
-                    elapsed: None,
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
-        }
-        .with_note(format!("best edge: {:.2} MHz", r.best_edge_hz() / 1e6))
+        .run(ctx);
+        let best = best_edge_mhz(&out);
+        out.with_note(format!("best edge: {best:.2} MHz"))
     }
-}
 
-fn point_config(effort: Effort, edge_hz: f64, seed: u64) -> LinkConfig {
-    let rf = RfConfig {
-        channel_filter_edge_hz: wlan_units::Hz(edge_hz),
-        ..RfConfig::default()
-    };
-    LinkConfig {
-        rate: Rate::R24,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
-        seed,
-        rx_level_dbm: -55.0,
-        adjacent: Some(AdjacentChannel::first()),
-        front_end: FrontEnd::RfBaseband(rf),
-        ..LinkConfig::default()
+    fn with_bounds(&self, b: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        const FIXED: &str = "--lo/--hi (the 3-16 MHz edge range is fixed; use --points)";
+        bounded(*self, b, Err(FIXED), Err(FIXED), |s| &mut s.points)
     }
-}
-
-fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, u64)>>) -> Fig5Result {
-    Fig5Result {
-        points: rows
-            .into_iter()
-            .map(|p| Fig5Point {
-                edge_hz: p.param,
-                ber: p.result.0,
-                bits: p.result.1,
-            })
-            .collect(),
-    }
-}
-
-/// Runs the sweep: 24 Mbit/s link at −55 dBm with the +16 dB adjacent
-/// channel, Chebyshev edge from 3 to 16 MHz.
-pub fn run(effort: Effort, points: usize, seed: u64) -> Fig5Result {
-    let sweep = Sweep::linspace(3e6, 16e6, points.max(2));
-    let rows = sweep.run(|&edge_hz| {
-        let report = LinkSimulation::new(point_config(effort, edge_hz, seed)).run();
-        (report.ber(), report.meter.bits())
-    });
-    collect(rows)
-}
-
-/// [`run`] on the parallel engine: sweep points fan out across the
-/// engine's pool, each point runs its frame budget as a deterministic
-/// sharded schedule. Bit-identical for any thread count.
-pub fn run_parallel(effort: Effort, points: usize, seed: u64, engine: &Engine) -> Fig5Result {
-    let sweep = Sweep::linspace(3e6, 16e6, points.max(2));
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &edge_hz| {
-        let report = engine.measure(point_config(effort, edge_hz, seed), i);
-        (report.ber(), report.meter.bits())
-    });
-    collect(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::assert_thread_invariant;
+    use crate::experiments::Effort;
+
+    fn run(points: usize, seed: u64) -> RunOutput {
+        Fig5Sweep { points }.run(&RunContext::serial_reference(Effort::quick(), seed))
+    }
 
     #[test]
     fn bathtub_shape() {
         // Narrow (3 MHz) and the best mid-band edge must differ sharply;
         // quick effort keeps this CI-friendly.
-        let r = run(Effort::quick(), 5, 3);
-        assert_eq!(r.points.len(), 5);
-        let narrow = r.points.first().unwrap().ber;
-        let wide = r.points.last().unwrap().ber;
-        let best = r.points.iter().map(|p| p.ber).fold(f64::MAX, f64::min);
+        let out = run(5, 3);
+        let ber = out.column("ber");
+        assert_eq!(ber.len(), 5);
+        let narrow = ber[0];
+        let wide = *ber.last().unwrap();
+        let best = ber.iter().copied().fold(f64::MAX, f64::min);
         assert!(narrow > 0.05, "narrow filter should fail: {narrow}");
         assert!(
             wide > 0.1,
@@ -194,26 +125,21 @@ mod tests {
         assert!(best < 0.01, "some edge should work: {best}");
         // The best edge covers the signal band without admitting the
         // aliased adjacent channel.
-        let e = r.best_edge_hz();
-        assert!((4e6..12e6).contains(&e), "best edge {e}");
+        let e = best_edge_mhz(&out);
+        assert!((4.0..12.0).contains(&e), "best edge {e} MHz");
     }
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), 3, 4);
-        let t = r.table();
+        let t = run(3, 4).tables.remove(0);
         assert_eq!(t.len(), 3);
         assert!(t.render().contains("Figure 5"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(Effort::quick(), 3, 8, &Engine::serial());
         for threads in [2, 4] {
-            let par = run_parallel(Effort::quick(), 3, 8, &Engine::with_threads(threads));
-            for (a, b) in serial.points.iter().zip(par.points.iter()) {
-                assert_eq!(a, b, "{threads} threads");
-            }
+            assert_thread_invariant(&Fig5Sweep { points: 3 }, Effort::quick(), 8, threads);
         }
     }
 }

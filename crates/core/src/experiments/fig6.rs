@@ -11,76 +11,35 @@
 //! scales with rate (+16 dB applies to 6 Mbit/s; at 54 Mbit/s it is
 //! −1 dB, so +6 dB is already a stress case the filter must handle).
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{bounded, curve, Axis, LinkSweep, Series};
+use crate::experiments::{Experiment, RunContext, RunOutput, SweepBounds};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
 use wlan_rf::nonlinearity::Nonlinearity;
 use wlan_rf::receiver::RfConfig;
+use wlan_units::Dbm;
 
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig6Point {
-    /// LNA input-referred 1 dB compression point (dBm).
-    pub p1db_dbm: f64,
-    /// BER without the adjacent channel.
-    pub ber_alone: f64,
-    /// BER with the +16 dB adjacent channel.
-    pub ber_adjacent: f64,
-    /// Bits per series point.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct Fig6Result {
-    /// Points in ascending compression point.
-    pub points: Vec<Fig6Point>,
-}
-
-impl Fig6Result {
-    /// Renders both series.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Figure 6: BER vs compression point of first LNA",
-            &["P1dB [dBm]", "BER (no adj)", "BER (adj)", "no-adj", "adj"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.0}", p.p1db_dbm),
-                format_ber(p.ber_alone, p.bits),
-                format_ber(p.ber_adjacent, p.bits),
-                bar(p.ber_alone, 0.5, 20),
-                bar(p.ber_adjacent, 0.5, 20),
-            ]);
-        }
-        t
-    }
-
-    /// The lowest compression point at which a series reaches BER <
-    /// `threshold` (its "knee").
-    pub fn knee_dbm(&self, adjacent: bool, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| {
-                (if adjacent {
-                    p.ber_adjacent
-                } else {
-                    p.ber_alone
-                }) < threshold
-            })
-            .map(|p| p.p1db_dbm)
-    }
+/// The lowest compression point at which a series of a Fig. 6 output
+/// reaches BER < `threshold` (its "knee").
+pub fn knee_dbm(out: &RunOutput, adjacent: bool, threshold: f64) -> Option<f64> {
+    let series = if adjacent {
+        "ber_adjacent"
+    } else {
+        "ber_alone"
+    };
+    curve(out, "p1db_dbm", series)
+        .find(|&(_, ber)| ber < threshold)
+        .map(|(p1db, _)| p1db)
 }
 
 /// Registry entry: the Fig. 6 compression-point sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Sweep {
     /// Sweep start: LNA input P1dB.
-    pub lo_dbm: wlan_units::Dbm,
+    pub lo_dbm: Dbm,
     /// Sweep end.
-    pub hi_dbm: wlan_units::Dbm,
+    pub hi_dbm: Dbm,
     /// Point count.
     pub points: usize,
 }
@@ -88,8 +47,8 @@ pub struct Fig6Sweep {
 impl Fig6Sweep {
     /// The default sweep: −50…−5 dBm, 10 points.
     pub const DEFAULT: Fig6Sweep = Fig6Sweep {
-        lo_dbm: wlan_units::Dbm(-50.0),
-        hi_dbm: wlan_units::Dbm(-5.0),
+        lo_dbm: Dbm(-50.0),
+        hi_dbm: Dbm(-5.0),
         points: 10,
     };
 }
@@ -113,47 +72,32 @@ impl Experiment for Fig6Sweep {
         "BER vs LNA compression point, with/without adjacent channel"
     }
 
+    /// The sweep: 54 Mbit/s at −40 dBm, LNA P1dB from `lo` to `hi` dBm.
+    /// The no-adjacent series runs on the master seed, the adjacent
+    /// series on `seed + 1`.
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut snapshot = vec![("n_points".to_string(), r.points.len() as f64)];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].p1db_dbm"), p.p1db_dbm));
-            snapshot.push((format!("points[{i:02}].ber_alone"), p.ber_alone));
-            snapshot.push((format!("points[{i:02}].ber_adjacent"), p.ber_adjacent));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
+        let mut out = LinkSweep {
+            title: "Figure 6: BER vs compression point of first LNA".into(),
+            axis: Axis {
+                key: "p1db_dbm",
+                scale: |x| x,
+                label: |x| format!("{x:.0}"),
+                columns: vec![("P1dB [dBm]", |x| format!("{x:.0}"))],
+                values: Sweep::linspace(self.lo_dbm.0, self.hi_dbm.0, self.points.max(2)),
+            },
+            series: vec![
+                Series::link("ber_alone", "BER (no adj)", Some("no-adj"), |p1, ctx| {
+                    point_config(p1, false, ctx, ctx.seed)
+                }),
+                Series::link("ber_adjacent", "BER (adj)", Some("adj"), |p1, ctx| {
+                    point_config(p1, true, ctx, ctx.seed.wrapping_add(1))
+                }),
+            ],
+            header: vec![],
+            bar_width: 20,
         }
-        let mut out = RunOutput {
-            tables: vec![r.table()],
-            snapshot,
-            points: r
-                .points
-                .iter()
-                .map(|p| PointStat {
-                    label: format!("{:.0}", p.p1db_dbm),
-                    elapsed: None,
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
-        };
-        if let (Some(a), Some(b)) = (r.knee_dbm(false, 0.01), r.knee_dbm(true, 0.01)) {
+        .run(ctx);
+        if let (Some(a), Some(b)) = (knee_dbm(&out, false, 0.01), knee_dbm(&out, true, 0.01)) {
             out.notes.push(format!(
                 "knee without adjacent: {a:.0} dBm | with adjacent: {b:.0} dBm (shift {:.0} dB)",
                 b - a
@@ -161,17 +105,27 @@ impl Experiment for Fig6Sweep {
         }
         out
     }
+
+    fn with_bounds(&self, b: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        bounded(
+            *self,
+            b,
+            Ok(|s, v| s.lo_dbm = Dbm(v)),
+            Ok(|s, v| s.hi_dbm = Dbm(v)),
+            |s| &mut s.points,
+        )
+    }
 }
 
-fn point_config(p1db: f64, adjacent: bool, effort: Effort, seed: u64) -> LinkConfig {
+fn point_config(p1db: f64, adjacent: bool, ctx: &RunContext, seed: u64) -> LinkConfig {
     let rf = RfConfig {
-        lna_nonlinearity: Nonlinearity::rapp(wlan_units::Dbm(p1db)),
+        lna_nonlinearity: Nonlinearity::rapp(Dbm(p1db)),
         ..RfConfig::default()
     };
     LinkConfig {
         rate: Rate::R54,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
+        psdu_len: ctx.effort.psdu_len,
+        packets: ctx.effort.packets,
         seed,
         rx_level_dbm: -40.0,
         adjacent: adjacent.then_some(AdjacentChannel {
@@ -183,99 +137,51 @@ fn point_config(p1db: f64, adjacent: bool, effort: Effort, seed: u64) -> LinkCon
     }
 }
 
-fn ber_at(p1db: f64, adjacent: bool, effort: Effort, seed: u64) -> (f64, u64) {
-    let report = LinkSimulation::new(point_config(p1db, adjacent, effort, seed)).run();
-    (report.ber(), report.meter.bits())
-}
-
-fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>) -> Fig6Result {
-    Fig6Result {
-        points: rows
-            .into_iter()
-            .map(|p| Fig6Point {
-                p1db_dbm: p.param,
-                ber_alone: p.result.0,
-                ber_adjacent: p.result.1,
-                bits: p.result.2,
-            })
-            .collect(),
-    }
-}
-
-/// Runs the sweep: 54 Mbit/s at −40 dBm, LNA P1dB from `lo` to `hi` dBm.
-pub fn run(effort: Effort, lo_dbm: f64, hi_dbm: f64, points: usize, seed: u64) -> Fig6Result {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run(|&p1| {
-        let (alone, bits) = ber_at(p1, false, effort, seed);
-        let (adj, _) = ber_at(p1, true, effort, seed.wrapping_add(1));
-        (alone, adj, bits)
-    });
-    collect(rows)
-}
-
-/// [`run`] on the parallel engine: sweep points fan out across the
-/// engine's pool; both series of a point run inside the same worker,
-/// the no-adjacent series on the master seed and the adjacent series on
-/// `seed + 1`, matching the serial pairing. Bit-identical for any
-/// thread count.
-pub fn run_parallel(
-    effort: Effort,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-    engine: &Engine,
-) -> Fig6Result {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &p1| {
-        let alone = engine.measure(point_config(p1, false, effort, seed), i);
-        let adj = engine.measure(point_config(p1, true, effort, seed.wrapping_add(1)), i);
-        (alone.ber(), adj.ber(), alone.meter.bits())
-    });
-    collect(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::assert_thread_invariant;
+    use crate::experiments::Effort;
+
+    fn run(lo: f64, hi: f64, points: usize, seed: u64) -> RunOutput {
+        let exp = Fig6Sweep {
+            lo_dbm: Dbm(lo),
+            hi_dbm: Dbm(hi),
+            points,
+        };
+        exp.run(&RunContext::serial_reference(Effort::quick(), seed))
+    }
 
     #[test]
     fn adjacent_channel_shifts_the_knee_right() {
-        let r = run(Effort::quick(), -50.0, -5.0, 6, 5);
+        let out = run(-50.0, -5.0, 6, 5);
+        let (alone, adjacent) = (out.column("ber_alone"), out.column("ber_adjacent"));
         // Deep compression breaks both; high P1dB fixes both.
-        let first = r.points.first().unwrap();
-        let last = r.points.last().unwrap();
-        assert!(first.ber_alone > 0.05, "{:?}", first);
-        assert!(last.ber_alone < 0.01, "{:?}", last);
-        assert!(last.ber_adjacent < 0.01, "{:?}", last);
+        assert!(alone[0] > 0.05, "{alone:?}");
+        assert!(*alone.last().unwrap() < 0.01, "{alone:?}");
+        assert!(*adjacent.last().unwrap() < 0.01, "{adjacent:?}");
         // The knee with adjacent channel needs a higher compression point.
-        let k_alone = r.knee_dbm(false, 0.01).expect("alone series recovers");
-        let k_adj = r.knee_dbm(true, 0.01).expect("adjacent series recovers");
+        let k_alone = knee_dbm(&out, false, 0.01).expect("alone series recovers");
+        let k_adj = knee_dbm(&out, true, 0.01).expect("adjacent series recovers");
         assert!(k_adj >= k_alone, "adjacent knee {k_adj} vs alone {k_alone}");
     }
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), -40.0, -10.0, 3, 6);
-        assert_eq!(r.points.len(), 3);
-        assert!(r.table().render().contains("Figure 6"));
+        let out = run(-40.0, -10.0, 3, 6);
+        assert_eq!(out.column("p1db_dbm").len(), 3);
+        assert!(out.table().render().contains("Figure 6"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(Effort::quick(), -40.0, -10.0, 3, 6, &Engine::serial());
+        let exp = Fig6Sweep {
+            lo_dbm: Dbm(-40.0),
+            hi_dbm: Dbm(-10.0),
+            points: 3,
+        };
         for threads in [2, 4] {
-            let par = run_parallel(
-                Effort::quick(),
-                -40.0,
-                -10.0,
-                3,
-                6,
-                &Engine::with_threads(threads),
-            );
-            for (a, b) in serial.points.iter().zip(par.points.iter()) {
-                assert_eq!(a, b, "{threads} threads");
-            }
+            assert_thread_invariant(&exp, Effort::quick(), 6, threads);
         }
     }
 }

@@ -5,73 +5,23 @@
 //! With the adjacent channel present, a low IIP3 lets the interferer's
 //! intermodulation products land in-band.
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{bounded, Axis, LinkSweep, Series};
+use crate::experiments::{Experiment, RunContext, RunOutput, SweepBounds};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use wlan_dataflow::sweep::Sweep;
-use wlan_phy::{OfdmProfile, Rate};
+use wlan_phy::Rate;
 use wlan_rf::nonlinearity::Nonlinearity;
 use wlan_rf::receiver::RfConfig;
-
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ip3Point {
-    /// LNA input-referred IIP3 (dBm).
-    pub iip3_dbm: f64,
-    /// Measured BER (adjacent channel present).
-    pub ber: f64,
-    /// Bits counted.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct Ip3Result {
-    /// Points in ascending IIP3.
-    pub points: Vec<Ip3Point>,
-    /// Per-point wall-clock, parallel to `points` (for the bench
-    /// harness timing report).
-    pub point_elapsed: Vec<std::time::Duration>,
-}
-
-impl Ip3Result {
-    /// Flattens the sweep into named scalar fields for the golden-file
-    /// harness (`wlan-conformance`).
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        let mut out = vec![("n_points".to_string(), self.points.len() as f64)];
-        for (i, p) in self.points.iter().enumerate() {
-            out.push((format!("points[{i:02}].iip3_dbm"), p.iip3_dbm));
-            out.push((format!("points[{i:02}].ber"), p.ber));
-            out.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
-        out
-    }
-
-    /// Renders the sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "BER vs IIP3 of the LNA (adjacent channel present)",
-            &["IIP3 [dBm]", "BER", "plot"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.0}", p.iip3_dbm),
-                format_ber(p.ber, p.bits),
-                bar(p.ber, 0.5, 40),
-            ]);
-        }
-        t
-    }
-}
+use wlan_units::Dbm;
 
 /// Registry entry: the §5.1 IIP3 sweep, parameterized so pinned runs
 /// can shrink the point count.
 #[derive(Debug, Clone, Copy)]
 pub struct Ip3Sweep {
     /// Sweep start.
-    pub lo_dbm: wlan_units::Dbm,
+    pub lo_dbm: Dbm,
     /// Sweep end.
-    pub hi_dbm: wlan_units::Dbm,
+    pub hi_dbm: Dbm,
     /// Point count.
     pub points: usize,
 }
@@ -79,8 +29,8 @@ pub struct Ip3Sweep {
 impl Ip3Sweep {
     /// The paper-default sweep (−40…0 dBm, 9 points).
     pub const DEFAULT: Ip3Sweep = Ip3Sweep {
-        lo_dbm: wlan_units::Dbm(-40.0),
-        hi_dbm: wlan_units::Dbm(0.0),
+        lo_dbm: Dbm(-40.0),
+        hi_dbm: Dbm(0.0),
         points: 9,
     };
 }
@@ -104,58 +54,49 @@ impl Experiment for Ip3Sweep {
         "BER vs LNA IIP3, adjacent channel present"
     }
 
+    /// The sweep at −40 dBm wanted level (36 Mbit/s) with a +6 dB
+    /// adjacent channel, IIP3 from `lo` to `hi` dBm.
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                ctx.profile,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                ctx.profile,
-                &ctx.engine,
-            )
-        };
-        RunOutput {
-            tables: vec![r.table()],
-            snapshot: r.snapshot(),
-            points: r
-                .points
-                .iter()
-                .zip(&r.point_elapsed)
-                .map(|(p, e)| PointStat {
-                    label: format!("{:.0}", p.iip3_dbm),
-                    elapsed: Some(*e),
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
+        LinkSweep {
+            title: "BER vs IIP3 of the LNA (adjacent channel present)".into(),
+            axis: Axis {
+                key: "iip3_dbm",
+                scale: |x| x,
+                label: |x| format!("{x:.0}"),
+                columns: vec![("IIP3 [dBm]", |x| format!("{x:.0}"))],
+                values: Sweep::linspace(self.lo_dbm.0, self.hi_dbm.0, self.points.max(2)),
+            },
+            series: vec![Series::ber(point_config)],
+            header: vec![],
+            bar_width: 40,
         }
+        .run(ctx)
+    }
+
+    fn with_bounds(&self, b: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        bounded(
+            *self,
+            b,
+            Ok(|s, v| s.lo_dbm = Dbm(v)),
+            Ok(|s, v| s.hi_dbm = Dbm(v)),
+            |s| &mut s.points,
+        )
     }
 }
 
-fn point_config(effort: Effort, iip3: f64, seed: u64, profile: &'static OfdmProfile) -> LinkConfig {
+fn point_config(iip3: f64, ctx: &RunContext) -> LinkConfig {
     let rf = RfConfig {
         lna_nonlinearity: Nonlinearity::Cubic {
-            iip3_dbm: wlan_units::Dbm(iip3),
+            iip3_dbm: Dbm(iip3),
         },
         ..RfConfig::default()
     };
     LinkConfig {
-        profile,
+        profile: ctx.profile,
         rate: Rate::R36,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
-        seed,
+        psdu_len: ctx.effort.psdu_len,
+        packets: ctx.effort.packets,
+        seed: ctx.seed,
         rx_level_dbm: -40.0,
         adjacent: Some(AdjacentChannel {
             offset_hz: 20e6,
@@ -166,69 +107,26 @@ fn point_config(effort: Effort, iip3: f64, seed: u64, profile: &'static OfdmProf
     }
 }
 
-/// Runs the sweep at −40 dBm wanted level (36 Mbit/s) with a +6 dB
-/// adjacent channel, IIP3 from `lo` to `hi` dBm.
-pub fn run(
-    effort: Effort,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-    profile: &'static OfdmProfile,
-) -> Ip3Result {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run(|&iip3| {
-        let report = LinkSimulation::new(point_config(effort, iip3, seed, profile)).run();
-        (report.ber(), report.meter.bits())
-    });
-    collect(rows)
-}
-
-fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, u64)>>) -> Ip3Result {
-    Ip3Result {
-        point_elapsed: rows.iter().map(|p| p.elapsed).collect(),
-        points: rows
-            .into_iter()
-            .map(|p| Ip3Point {
-                iip3_dbm: p.param,
-                ber: p.result.0,
-                bits: p.result.1,
-            })
-            .collect(),
-    }
-}
-
-/// [`run`] on the parallel engine: sweep points fan out across the
-/// engine's pool, each point runs its frame budget as a deterministic
-/// sharded schedule (optionally early-stopped). Bit-identical for any
-/// thread count.
-pub fn run_parallel(
-    effort: Effort,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-    profile: &'static OfdmProfile,
-    engine: &Engine,
-) -> Ip3Result {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &iip3| {
-        let report = engine.measure(point_config(effort, iip3, seed, profile), i);
-        (report.ber(), report.meter.bits())
-    });
-    collect(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlan_phy::IEEE_802_11A;
+    use crate::experiments::sweep::assert_thread_invariant;
+    use crate::experiments::Effort;
+
+    fn run(lo: f64, hi: f64, points: usize, seed: u64) -> RunOutput {
+        let exp = Ip3Sweep {
+            lo_dbm: Dbm(lo),
+            hi_dbm: Dbm(hi),
+            points,
+        };
+        exp.run(&RunContext::serial_reference(Effort::quick(), seed))
+    }
 
     #[test]
     fn low_iip3_breaks_link_high_iip3_fixes_it() {
-        let r = run(Effort::quick(), -40.0, 0.0, 4, 7, &IEEE_802_11A);
-        let worst = r.points.first().unwrap().ber;
-        let best = r.points.last().unwrap().ber;
+        let ber = run(-40.0, 0.0, 4, 7).column("ber");
+        let worst = *ber.first().unwrap();
+        let best = *ber.last().unwrap();
         assert!(worst > 0.05, "low IIP3 should fail: {worst}");
         assert!(best < 0.01, "high IIP3 should work: {best}");
         // Monotone trend (allowing Monte-Carlo wiggle): last ≤ first.
@@ -237,32 +135,17 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), -30.0, -10.0, 2, 8, &IEEE_802_11A);
-        assert!(r.table().render().contains("IIP3"));
+        let out = run(-30.0, -10.0, 2, 8);
+        assert!(out.table().render().contains("IIP3"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(
-            Effort::quick(),
-            -30.0,
-            -10.0,
-            3,
-            8,
-            &IEEE_802_11A,
-            &Engine::serial(),
-        );
-        let par = run_parallel(
-            Effort::quick(),
-            -30.0,
-            -10.0,
-            3,
-            8,
-            &IEEE_802_11A,
-            &Engine::with_threads(3),
-        );
-        for (a, b) in serial.points.iter().zip(par.points.iter()) {
-            assert_eq!(a, b);
-        }
+        let exp = Ip3Sweep {
+            lo_dbm: Dbm(-30.0),
+            hi_dbm: Dbm(-10.0),
+            points: 3,
+        };
+        assert_thread_invariant(&exp, Effort::quick(), 8, 3);
     }
 }

@@ -2,78 +2,20 @@
 //! receiver's specified input range (−88 … −23 dBm, §2.2), verifying
 //! sensitivity at the bottom and overload behavior at the top.
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkSimulation};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{bounded, curve, Axis, LinkSweep, Series};
+use crate::experiments::{Experiment, RunContext, RunOutput, SweepBounds};
+use crate::link::{FrontEnd, LinkConfig};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
+use wlan_units::Dbm;
 
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LevelPoint {
-    /// Input level (dBm).
-    pub rx_level_dbm: f64,
-    /// Measured BER.
-    pub ber: f64,
-    /// Bits counted.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct LevelSweepResult {
-    /// Rate used.
-    pub rate: Rate,
-    /// Points in ascending level.
-    pub points: Vec<LevelPoint>,
-    /// Per-point wall-clock, parallel to `points`.
-    pub point_elapsed: Vec<std::time::Duration>,
-}
-
-impl LevelSweepResult {
-    /// Flattens the sweep into named scalar fields for the golden-file
-    /// harness (`wlan-conformance`).
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        let mut out = vec![
-            ("n_points".to_string(), self.points.len() as f64),
-            ("rate_mbps".to_string(), self.rate.mbps() as f64),
-        ];
-        for (i, p) in self.points.iter().enumerate() {
-            out.push((format!("points[{i:02}].rx_level_dbm"), p.rx_level_dbm));
-            out.push((format!("points[{i:02}].ber"), p.ber));
-            out.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
-        out
-    }
-
-    /// Renders the sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "BER vs input level ({}), spec range -88..-23 dBm",
-                self.rate
-            ),
-            &["level [dBm]", "BER", "plot"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.0}", p.rx_level_dbm),
-                format_ber(p.ber, p.bits),
-                bar(p.ber, 0.5, 40),
-            ]);
-        }
-        t
-    }
-
-    /// The lowest level with BER below `threshold` (measured
-    /// sensitivity).
-    pub fn sensitivity_dbm(&self, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.ber < threshold)
-            .map(|p| p.rx_level_dbm)
-    }
+/// The lowest level with BER below `threshold` (measured sensitivity)
+/// in a level sweep's output.
+pub fn sensitivity_dbm(out: &RunOutput, threshold: f64) -> Option<f64> {
+    curve(out, "rx_level_dbm", "ber")
+        .find(|&(_, ber)| ber < threshold)
+        .map(|(level, _)| level)
 }
 
 /// Registry entry: the §5.1 input-level sweep.
@@ -82,9 +24,9 @@ pub struct LevelSweep {
     /// Data rate.
     pub rate: Rate,
     /// Sweep start.
-    pub lo_dbm: wlan_units::Dbm,
+    pub lo_dbm: Dbm,
     /// Sweep end.
-    pub hi_dbm: wlan_units::Dbm,
+    pub hi_dbm: Dbm,
     /// Point count.
     pub points: usize,
 }
@@ -93,8 +35,8 @@ impl LevelSweep {
     /// The default sweep: 24 Mbit/s across −98…−23 dBm, 12 points.
     pub const DEFAULT: LevelSweep = LevelSweep {
         rate: Rate::R24,
-        lo_dbm: wlan_units::Dbm(-98.0),
-        hi_dbm: wlan_units::Dbm(-23.0),
+        lo_dbm: Dbm(-98.0),
+        hi_dbm: Dbm(-23.0),
         points: 12,
     };
 }
@@ -118,127 +60,73 @@ impl Experiment for LevelSweep {
         "BER across the specified -88..-23 dBm input range"
     }
 
+    /// The sweep from below sensitivity to above the specified maximum.
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.rate,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut out = RunOutput {
-            tables: vec![r.table()],
-            snapshot: r.snapshot(),
-            points: r
-                .points
-                .iter()
-                .zip(&r.point_elapsed)
-                .map(|(p, e)| PointStat {
-                    label: format!("{:.0}", p.rx_level_dbm),
-                    elapsed: Some(*e),
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
-        };
-        if let Some(s) = r.sensitivity_dbm(1e-3) {
+        let rate = self.rate;
+        let mut out = LinkSweep {
+            title: format!("BER vs input level ({rate}), spec range -88..-23 dBm"),
+            axis: Axis {
+                key: "rx_level_dbm",
+                scale: |x| x,
+                label: |x| format!("{x:.0}"),
+                columns: vec![("level [dBm]", |x| format!("{x:.0}"))],
+                values: Sweep::linspace(self.lo_dbm.0, self.hi_dbm.0, self.points.max(2)),
+            },
+            series: vec![Series::ber(move |level, ctx| LinkConfig {
+                rate,
+                psdu_len: ctx.effort.psdu_len,
+                packets: ctx.effort.packets,
+                seed: ctx.seed,
+                rx_level_dbm: level,
+                front_end: FrontEnd::RfBaseband(RfConfig::default()),
+                ..LinkConfig::default()
+            })],
+            header: vec![("rate_mbps", rate.mbps() as f64)],
+            bar_width: 40,
+        }
+        .run(ctx);
+        if let Some(s) = sensitivity_dbm(&out, 1e-3) {
             out.notes
-                .push(format!("measured sensitivity at {}: {s:.0} dBm", r.rate));
+                .push(format!("measured sensitivity at {rate}: {s:.0} dBm"));
         }
         out
     }
-}
 
-fn point_config(effort: Effort, rate: Rate, level: f64, seed: u64) -> LinkConfig {
-    LinkConfig {
-        rate,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
-        seed,
-        rx_level_dbm: level,
-        front_end: FrontEnd::RfBaseband(RfConfig::default()),
-        ..LinkConfig::default()
+    fn with_bounds(&self, b: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        bounded(
+            *self,
+            b,
+            Ok(|s, v| s.lo_dbm = Dbm(v)),
+            Ok(|s, v| s.hi_dbm = Dbm(v)),
+            |s| &mut s.points,
+        )
     }
-}
-
-fn collect(
-    rate: Rate,
-    rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, u64)>>,
-) -> LevelSweepResult {
-    LevelSweepResult {
-        rate,
-        point_elapsed: rows.iter().map(|p| p.elapsed).collect(),
-        points: rows
-            .into_iter()
-            .map(|p| LevelPoint {
-                rx_level_dbm: p.param,
-                ber: p.result.0,
-                bits: p.result.1,
-            })
-            .collect(),
-    }
-}
-
-/// Runs the sweep from below sensitivity to above the specified maximum.
-pub fn run(
-    effort: Effort,
-    rate: Rate,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-) -> LevelSweepResult {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run(|&level| {
-        let report = LinkSimulation::new(point_config(effort, rate, level, seed)).run();
-        (report.ber(), report.meter.bits())
-    });
-    collect(rate, rows)
-}
-
-/// [`run`] on the parallel engine: points fan out across the pool with
-/// deterministic per-point seed streams and optional early stopping.
-pub fn run_parallel(
-    effort: Effort,
-    rate: Rate,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-    engine: &Engine,
-) -> LevelSweepResult {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &level| {
-        let report = engine.measure(point_config(effort, rate, level, seed), i);
-        (report.ber(), report.meter.bits())
-    });
-    collect(rate, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::assert_thread_invariant;
+    use crate::experiments::Effort;
+
+    fn run(rate: Rate, lo: f64, hi: f64, points: usize, seed: u64) -> RunOutput {
+        let exp = LevelSweep {
+            rate,
+            lo_dbm: Dbm(lo),
+            hi_dbm: Dbm(hi),
+            points,
+        };
+        exp.run(&RunContext::serial_reference(Effort::quick(), seed))
+    }
 
     #[test]
     fn sensitivity_cliff_and_spec_range_clean() {
-        let r = run(Effort::quick(), Rate::R12, -100.0, -25.0, 6, 3);
+        let out = run(Rate::R12, -100.0, -25.0, 6, 3);
+        let ber = out.column("ber");
         // Far below sensitivity: broken. Within the range: clean.
-        assert!(r.points.first().unwrap().ber > 0.1, "{:?}", r.points[0]);
-        assert!(r.points.last().unwrap().ber < 0.01, "{:?}", r.points.last());
-        let sens = r.sensitivity_dbm(0.01).expect("link closes somewhere");
+        assert!(*ber.first().unwrap() > 0.1, "{ber:?}");
+        assert!(*ber.last().unwrap() < 0.01, "{ber:?}");
+        let sens = sensitivity_dbm(&out, 0.01).expect("link closes somewhere");
         assert!(
             (-95.0..=-70.0).contains(&sens),
             "measured sensitivity {sens} dBm"
@@ -247,32 +135,18 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), Rate::R24, -60.0, -30.0, 2, 4);
-        assert!(r.table().render().contains("input level"));
+        let out = run(Rate::R24, -60.0, -30.0, 2, 4);
+        assert!(out.table().render().contains("input level"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(
-            Effort::quick(),
-            Rate::R24,
-            -60.0,
-            -40.0,
-            3,
-            4,
-            &Engine::serial(),
-        );
-        let par = run_parallel(
-            Effort::quick(),
-            Rate::R24,
-            -60.0,
-            -40.0,
-            3,
-            4,
-            &Engine::with_threads(2),
-        );
-        for (a, b) in serial.points.iter().zip(par.points.iter()) {
-            assert_eq!(a, b);
-        }
+        let exp = LevelSweep {
+            rate: Rate::R24,
+            lo_dbm: Dbm(-60.0),
+            hi_dbm: Dbm(-40.0),
+            points: 3,
+        };
+        assert_thread_invariant(&exp, Effort::quick(), 4, 2);
     }
 }

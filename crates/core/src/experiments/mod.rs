@@ -1,12 +1,13 @@
 //! The paper's evaluation, experiment by experiment.
 //!
 //! Every table and figure of the DATE 2003 paper maps to one module
-//! here; each `run` function returns a structured result that formats
-//! itself as a [`crate::Table`] (and CSV). On top of those free
-//! functions, every module implements the [`Experiment`] trait and is
+//! here. Every module implements the [`Experiment`] trait and is
 //! listed in the static [`registry`], so the whole suite is drivable
 //! through one surface: the `wlansim` CLI in the `wlan-bench` crate
-//! (`wlansim list` / `wlansim run <name>` / `wlansim all`).
+//! (`wlansim list` / `wlansim run <name>` / `wlansim all`). The eight
+//! BER-vs-parameter sweeps (`fading`, `fig5`, `fig6`, `ip3`,
+//! `noise_figure`, `level_sweep`, `blocking`, `cfo`) are declarations
+//! of one link sweep (the crate-private `sweep` module).
 //!
 //! | Module | Paper item |
 //! |---|---|
@@ -48,6 +49,7 @@ pub mod ip3;
 pub mod level_sweep;
 pub mod noise_figure;
 pub mod rf_char;
+mod sweep;
 pub mod table1;
 pub mod table2;
 
@@ -174,11 +176,12 @@ impl Default for Engine {
 /// serial-vs-sharded estimator choice, and the [`TelemetrySink`] the
 /// run manifest is assembled from.
 ///
-/// `serial: true` selects the legacy per-experiment serial estimator
-/// (`LinkSimulation::run`) — the path the pinned goldens and the
-/// pre-refactor `run()` functions use — while `serial: false` fans the
-/// sweep points out across the engine's pool with the sharded,
-/// thread-invariant schedule.
+/// `serial: true` selects the serial estimator (`LinkSimulation::run`,
+/// one RNG stream per point) the pinned goldens were blessed with;
+/// `serial: false` runs every point as the engine's sharded,
+/// thread-invariant schedule. Either way the sweep points fan out
+/// across the engine's pool, and [`RunContext::measure`] is where the
+/// link sweeps choose between the two.
 #[derive(Debug)]
 pub struct RunContext {
     /// Packets / PSDU length per sweep point.
@@ -256,6 +259,18 @@ impl RunContext {
     pub fn early_stop_enabled(&self) -> bool {
         self.engine.mc.early_stop.is_some()
     }
+
+    /// Measures one sweep point: the link run of `cfg` at sweep index
+    /// `point_index` under this context's estimator — the serial
+    /// `LinkSimulation::run` when [`RunContext::serial`] is set, the
+    /// engine's sharded schedule ([`Engine::measure`]) otherwise.
+    pub fn measure(&self, cfg: LinkConfig, point_index: usize) -> LinkReport {
+        if self.serial {
+            LinkSimulation::new(cfg).run()
+        } else {
+            self.engine.measure(cfg, point_index)
+        }
+    }
 }
 
 /// Per-sweep-point statistics an experiment reports back through
@@ -325,6 +340,20 @@ impl RunOutput {
         self.notes.push(note.into());
         self
     }
+
+    /// The per-point values of a sweep field — the snapshot's
+    /// `points[NN].<key>` entries, in point order.
+    pub fn column(&self, key: &str) -> Vec<f64> {
+        self.snapshot
+            .iter()
+            .filter(|(k, _)| {
+                k.strip_prefix("points[")
+                    .and_then(|rest| rest.split_once("]."))
+                    .is_some_and(|(_, field)| field == key)
+            })
+            .map(|&(_, v)| v)
+            .collect()
+    }
 }
 
 /// A paper scenario runnable through the registry: every module in the
@@ -341,6 +370,12 @@ pub trait Experiment: Sync {
     fn describe(&self) -> &'static str;
     /// Runs the scenario under the given context.
     fn run(&self, ctx: &RunContext) -> RunOutput;
+    /// This scenario with `wlansim run --lo/--hi/--points` applied;
+    /// `None` when it has no sweep bounds. An `Err` names the flag the
+    /// sweep refuses.
+    fn with_bounds(&self, _bounds: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        None
+    }
 }
 
 /// Telemetry of one executed experiment, recorded by [`execute`].
@@ -489,9 +524,10 @@ impl SweepBounds {
 }
 
 /// [`find`] plus bounds overrides: builds an owned instance of the
-/// named sweep with `--lo` / `--hi` / `--points` applied, parsing the
-/// raw numbers into the unit newtypes the sweep's fields carry (dBm
-/// for the level-style sweeps, dB for blocking, Hz for cfo).
+/// named sweep with `--lo` / `--hi` / `--points` applied through its
+/// [`Experiment::with_bounds`], which parses the raw numbers into the
+/// unit newtypes the sweep's fields carry (dBm for the level-style
+/// sweeps, dB for blocking, Hz for cfo).
 ///
 /// # Errors
 ///
@@ -499,102 +535,12 @@ impl SweepBounds {
 /// matching bound (e.g. `--lo` for the cfo sweep, which starts at 0),
 /// or stating the experiment / its sweep bounds do not exist.
 pub fn find_with_bounds(name: &str, b: SweepBounds) -> Result<Box<dyn Experiment>, String> {
-    use wlan_units::{Db, Dbm, Hz};
-    let unsupported = |flag: &str| Err(format!("experiment '{name}' does not support {flag}"));
-    match name {
-        "ip3" => {
-            let mut s = ip3::Ip3Sweep::DEFAULT;
-            if let Some(lo) = b.lo {
-                s.lo_dbm = Dbm(lo);
-            }
-            if let Some(hi) = b.hi {
-                s.hi_dbm = Dbm(hi);
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        "level_sweep" => {
-            let mut s = level_sweep::LevelSweep::DEFAULT;
-            if let Some(lo) = b.lo {
-                s.lo_dbm = Dbm(lo);
-            }
-            if let Some(hi) = b.hi {
-                s.hi_dbm = Dbm(hi);
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        "fig6" => {
-            let mut s = fig6::Fig6Sweep::DEFAULT;
-            if let Some(lo) = b.lo {
-                s.lo_dbm = Dbm(lo);
-            }
-            if let Some(hi) = b.hi {
-                s.hi_dbm = Dbm(hi);
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        "blocking" => {
-            let mut s = blocking::BlockingSweep::DEFAULT;
-            if let Some(lo) = b.lo {
-                s.lo_db = Db(lo);
-            }
-            if let Some(hi) = b.hi {
-                s.hi_db = Db(hi);
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        "noise_figure" => {
-            let mut s = noise_figure::NfSweep::DEFAULT;
-            if let Some(lo) = b.lo {
-                s.rx_level_dbm = Dbm(lo);
-            }
-            if b.hi.is_some() {
-                return unsupported("--hi (only --lo, the receive level, and --points)");
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        "cfo" => {
-            let mut s = cfo::CfoSweep::DEFAULT;
-            if b.lo.is_some() {
-                return unsupported("--lo (the sweep always starts at 0 Hz; use --hi)");
-            }
-            if let Some(hi) = b.hi {
-                s.max_hz = Hz(hi);
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        "fig5" => {
-            let mut s = fig5::Fig5Sweep::DEFAULT;
-            if b.lo.is_some() || b.hi.is_some() {
-                return unsupported("--lo/--hi (the 3-16 MHz edge range is fixed; use --points)");
-            }
-            if let Some(p) = b.points {
-                s.points = p;
-            }
-            Ok(Box::new(s))
-        }
-        _ if find(name).is_some() => Err(format!(
+    let exp = find(name).ok_or_else(|| format!("unknown experiment '{name}'"))?;
+    exp.with_bounds(b).unwrap_or_else(|| {
+        Err(format!(
             "experiment '{name}' has no sweep bounds (--lo/--hi/--points)"
-        )),
-        _ => Err(format!("unknown experiment '{name}'")),
-    }
+        ))
+    })
 }
 
 /// The `wlansim list` profile table: every OFDM numerology the

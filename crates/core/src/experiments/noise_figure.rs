@@ -10,80 +10,19 @@
 //! (SPW-style) simulation, and run the same configuration through the
 //! noiseless co-simulation to reproduce the optimistic-BER artifact.
 
-use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkSimulation};
-use crate::report::{bar, format_ber, Table};
+use crate::experiments::sweep::{bounded, Axis, LinkSweep, Series};
+use crate::experiments::{Experiment, RunContext, RunOutput, SweepBounds};
+use crate::link::{FrontEnd, LinkConfig};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
-
-/// One sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NfPoint {
-    /// LNA noise figure (dB).
-    pub nf_db: f64,
-    /// BER in the baseband (noisy) simulation.
-    pub ber_baseband: f64,
-    /// BER in the noiseless co-simulation at the same setting.
-    pub ber_cosim: f64,
-    /// Bits per series.
-    pub bits: u64,
-}
-
-/// Sweep result.
-#[derive(Debug, Clone)]
-pub struct NfResult {
-    /// Points in ascending noise figure.
-    pub points: Vec<NfPoint>,
-    /// Receive level used (dBm).
-    pub rx_level_dbm: f64,
-    /// Per-point wall-clock, parallel to `points`.
-    pub point_elapsed: Vec<std::time::Duration>,
-}
-
-impl NfResult {
-    /// Flattens the sweep into named scalar fields for the golden-file
-    /// harness (`wlan-conformance`).
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        let mut out = vec![
-            ("n_points".to_string(), self.points.len() as f64),
-            ("rx_level_dbm".to_string(), self.rx_level_dbm),
-        ];
-        for (i, p) in self.points.iter().enumerate() {
-            out.push((format!("points[{i:02}].nf_db"), p.nf_db));
-            out.push((format!("points[{i:02}].ber_baseband"), p.ber_baseband));
-            out.push((format!("points[{i:02}].ber_cosim"), p.ber_cosim));
-            out.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
-        out
-    }
-
-    /// Renders both series.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "BER vs LNA noise figure at {} dBm (baseband vs noiseless co-sim)",
-                self.rx_level_dbm
-            ),
-            &["NF [dB]", "BER baseband", "BER co-sim", "baseband"],
-        );
-        for p in &self.points {
-            t.push_row(vec![
-                format!("{:.0}", p.nf_db),
-                format_ber(p.ber_baseband, p.bits),
-                format_ber(p.ber_cosim, p.bits),
-                bar(p.ber_baseband, 0.5, 30),
-            ]);
-        }
-        t
-    }
-}
+use wlan_units::{Db, Dbm};
 
 /// Registry entry: the §5.1 noise-figure sweep with the co-sim gap.
 #[derive(Debug, Clone, Copy)]
 pub struct NfSweep {
     /// Receive level, near sensitivity.
-    pub rx_level_dbm: wlan_units::Dbm,
+    pub rx_level_dbm: Dbm,
     /// Point count.
     pub points: usize,
 }
@@ -91,7 +30,7 @@ pub struct NfSweep {
 impl NfSweep {
     /// The default sweep: −82 dBm, 7 NF points.
     pub const DEFAULT: NfSweep = NfSweep {
-        rx_level_dbm: wlan_units::Dbm(-82.0),
+        rx_level_dbm: Dbm(-82.0),
         points: 7,
     };
 }
@@ -115,158 +54,121 @@ impl Experiment for NfSweep {
         "BER vs LNA noise figure and the co-sim noise gap"
     }
 
+    /// The sweep near sensitivity: the LNA noise figure from 3 to 27 dB
+    /// in the baseband simulation, beside the noiseless co-simulation.
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(ctx.effort, self.rx_level_dbm.0, self.points, ctx.seed)
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rx_level_dbm.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
+        let rx_level_dbm = self.rx_level_dbm.0;
+        let link = move |ctx: &RunContext, front_end| LinkConfig {
+            rate: Rate::R12,
+            psdu_len: ctx.effort.psdu_len,
+            packets: ctx.effort.packets,
+            seed: ctx.seed,
+            rx_level_dbm,
+            front_end,
+            ..LinkConfig::default()
         };
-        RunOutput {
-            tables: vec![r.table()],
-            snapshot: r.snapshot(),
-            points: r
-                .points
-                .iter()
-                .zip(&r.point_elapsed)
-                .map(|(p, e)| PointStat {
-                    label: format!("{:.0}", p.nf_db),
-                    elapsed: Some(*e),
-                    bits: Some(p.bits),
-                })
-                .collect(),
-            ..RunOutput::default()
+        LinkSweep {
+            title: format!(
+                "BER vs LNA noise figure at {rx_level_dbm} dBm (baseband vs noiseless co-sim)"
+            ),
+            axis: Axis {
+                key: "nf_db",
+                scale: |x| x,
+                label: |x| format!("{x:.0}"),
+                columns: vec![("NF [dB]", |x| format!("{x:.0}"))],
+                values: Sweep::linspace(3.0, 27.0, self.points.max(2)),
+            },
+            series: vec![
+                Series::link(
+                    "ber_baseband",
+                    "BER baseband",
+                    Some("baseband"),
+                    move |nf, ctx| {
+                        let rf = RfConfig {
+                            lna_nf_db: Db(nf),
+                            ..RfConfig::default()
+                        };
+                        link(ctx, FrontEnd::RfBaseband(rf))
+                    },
+                ),
+                // The co-simulation cannot model the noise figure at all —
+                // every NF setting produces the same (noiseless) behavior.
+                Series::link("ber_cosim", "BER co-sim", None, move |_, ctx| {
+                    link(
+                        ctx,
+                        FrontEnd::RfCosim {
+                            filter_edge_hz: 10e6,
+                            analog_osr: 4,
+                            noise_workaround: false,
+                        },
+                    )
+                }),
+            ],
+            header: vec![("rx_level_dbm", rx_level_dbm)],
+            bar_width: 30,
         }
+        .run(ctx)
         .with_note("the co-sim column stays optimistic: no noise functions (paper §5.1)")
     }
-}
 
-fn baseband_config(effort: Effort, nf: f64, rx_level_dbm: f64, seed: u64) -> LinkConfig {
-    let rf = RfConfig {
-        lna_nf_db: wlan_units::Db(nf),
-        ..RfConfig::default()
-    };
-    LinkConfig {
-        rate: Rate::R12,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
-        seed,
-        rx_level_dbm,
-        front_end: FrontEnd::RfBaseband(rf),
-        ..LinkConfig::default()
+    fn with_bounds(&self, b: SweepBounds) -> Option<Result<Box<dyn Experiment>, String>> {
+        bounded(
+            *self,
+            b,
+            Ok(|s, v| s.rx_level_dbm = Dbm(v)),
+            Err("--hi (only --lo, the receive level, and --points)"),
+            |s| &mut s.points,
+        )
     }
-}
-
-fn cosim_config(effort: Effort, rx_level_dbm: f64, seed: u64) -> LinkConfig {
-    LinkConfig {
-        rate: Rate::R12,
-        psdu_len: effort.psdu_len,
-        packets: effort.packets,
-        seed,
-        rx_level_dbm,
-        front_end: FrontEnd::RfCosim {
-            filter_edge_hz: 10e6,
-            analog_osr: 4,
-            noise_workaround: false,
-        },
-        ..LinkConfig::default()
-    }
-}
-
-fn collect(
-    rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>,
-    rx_level_dbm: f64,
-) -> NfResult {
-    NfResult {
-        point_elapsed: rows.iter().map(|p| p.elapsed).collect(),
-        points: rows
-            .into_iter()
-            .map(|p| NfPoint {
-                nf_db: p.param,
-                ber_baseband: p.result.0,
-                ber_cosim: p.result.1,
-                bits: p.result.2,
-            })
-            .collect(),
-        rx_level_dbm,
-    }
-}
-
-/// Runs the sweep near sensitivity.
-pub fn run(effort: Effort, rx_level_dbm: f64, points: usize, seed: u64) -> NfResult {
-    let sweep = Sweep::linspace(3.0, 27.0, points.max(2));
-    let rows = sweep.run(|&nf| {
-        let base = LinkSimulation::new(baseband_config(effort, nf, rx_level_dbm, seed)).run();
-        // The co-simulation cannot model the noise figure at all — every
-        // NF setting produces the same (noiseless) behavior.
-        let cosim = LinkSimulation::new(cosim_config(effort, rx_level_dbm, seed)).run();
-        (base.ber(), cosim.ber(), base.meter.bits())
-    });
-    collect(rows, rx_level_dbm)
-}
-
-/// [`run`] on the parallel engine: each NF point (both the baseband and
-/// the co-simulation series) runs as one pool task with deterministic
-/// seed streams.
-pub fn run_parallel(
-    effort: Effort,
-    rx_level_dbm: f64,
-    points: usize,
-    seed: u64,
-    engine: &Engine,
-) -> NfResult {
-    let sweep = Sweep::linspace(3.0, 27.0, points.max(2));
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &nf| {
-        let base = engine.measure(baseband_config(effort, nf, rx_level_dbm, seed), i);
-        let cosim = engine.measure(cosim_config(effort, rx_level_dbm, seed), i);
-        (base.ber(), cosim.ber(), base.meter.bits())
-    });
-    collect(rows, rx_level_dbm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sweep::assert_thread_invariant;
+    use crate::experiments::Effort;
+
+    fn run(rx_level_dbm: f64, points: usize, seed: u64) -> RunOutput {
+        let exp = NfSweep {
+            rx_level_dbm: Dbm(rx_level_dbm),
+            points,
+        };
+        exp.run(&RunContext::serial_reference(Effort::quick(), seed))
+    }
 
     #[test]
     fn cosim_is_optimistic_at_high_nf() {
         // At −82 dBm a 27 dB front-end NF kills the baseband link while
         // the noiseless co-sim stays clean — the paper's observed gap.
-        let r = run(Effort::quick(), -82.0, 3, 9);
-        let worst = r.points.last().unwrap();
-        assert!(worst.nf_db > 20.0);
+        let out = run(-82.0, 3, 9);
+        let nf_db = *out.column("nf_db").last().unwrap();
+        let ber_baseband = *out.column("ber_baseband").last().unwrap();
+        let ber_cosim = *out.column("ber_cosim").last().unwrap();
+        assert!(nf_db > 20.0);
         assert!(
-            worst.ber_baseband > 0.02,
-            "baseband should degrade: {}",
-            worst.ber_baseband
+            ber_baseband > 0.02,
+            "baseband should degrade: {ber_baseband}"
         );
         assert!(
-            worst.ber_cosim < worst.ber_baseband,
-            "co-sim must be optimistic: {} vs {}",
-            worst.ber_cosim,
-            worst.ber_baseband
+            ber_cosim < ber_baseband,
+            "co-sim must be optimistic: {ber_cosim} vs {ber_baseband}"
         );
-    }
-
-    #[test]
-    fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(Effort::quick(), -80.0, 2, 10, &Engine::serial());
-        let par = run_parallel(Effort::quick(), -80.0, 2, 10, &Engine::with_threads(2));
-        for (a, b) in serial.points.iter().zip(par.points.iter()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
     fn low_nf_link_works() {
-        let r = run(Effort::quick(), -80.0, 2, 10);
-        let best = r.points.first().unwrap();
-        assert!(best.ber_baseband < 0.02, "{}", best.ber_baseband);
-        assert!(r.table().render().contains("noise figure"));
+        let out = run(-80.0, 2, 10);
+        let best = out.column("ber_baseband")[0];
+        assert!(best < 0.02, "{best}");
+        assert!(out.table().render().contains("noise figure"));
+    }
+
+    #[test]
+    fn parallel_sweep_is_thread_invariant() {
+        let exp = NfSweep {
+            rx_level_dbm: Dbm(-80.0),
+            points: 2,
+        };
+        assert_thread_invariant(&exp, Effort::quick(), 10, 2);
     }
 }

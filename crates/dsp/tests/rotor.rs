@@ -12,9 +12,10 @@ use std::f64::consts::TAU;
 use wlan_conformance::refimpl::tone_shift_reference;
 use wlan_dsp::resample::FrequencyShifter;
 use wlan_dsp::{Complex, Rng};
+use wlan_phy::params::SAMPLE_RATE;
 
-/// Baseband rate the scene oversamples.
-const BASE_RATE: f64 = 20e6;
+/// Baseband rate the scene oversamples; one channel spacing.
+const BASE_RATE: f64 = SAMPLE_RATE;
 
 fn slow() -> bool {
     std::env::var("WLANSIM_SLOW_TESTS").as_deref() == Ok("1")
@@ -74,7 +75,7 @@ fn check_tone_phase(n: u64) {
         let fs = BASE_RATE * osr as f64;
         // The adjacent and alternate channels, and one offset whose
         // frequency is not a short binary fraction of the rate.
-        for shift in [20e6, -20e6, 40e6, -40e6, 7.3e6] {
+        for shift in [BASE_RATE, -BASE_RATE, 40e6, -40e6, 7.3e6] {
             let (phase, mag) = tone_errors(shift, fs, n);
             assert!(
                 phase <= 1e-12 && mag <= 1e-12,
@@ -112,7 +113,7 @@ fn frames_split_anywhere_give_the_same_bits() {
     let x: Vec<Complex> = (0..3000).map(|_| rng.complex_gaussian(1.0)).collect();
     let k = 0.7;
     let cuts = [0, 1, 7, 63, 64, 65, 0, 127, 129, 1000];
-    for shift in [20e6, -40e6, 7.3e6, 0.0] {
+    for shift in [BASE_RATE, -40e6, 7.3e6, 0.0] {
         let fs = 160e6;
         // One sample at a time; `add_scaled_into` adds these to `out`.
         let mut one = FrequencyShifter::new(shift, fs);

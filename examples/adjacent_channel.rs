@@ -7,7 +7,7 @@
 //! cargo run --release --example adjacent_channel
 //! ```
 
-use wlan_sim::experiments::{fig4, fig5, Effort};
+use wlan_sim::experiments::{execute, fig4, fig5, Effort, RunContext};
 
 fn main() {
     // Figure 4: the scene spectrum.
@@ -25,11 +25,12 @@ fn main() {
         packets: 4,
         psdu_len: 100,
     };
-    let sweep = fig5::run(effort, 7, 42);
+    let mut ctx = RunContext::serial_reference(effort, 42);
+    let sweep = execute(&fig5::Fig5Sweep { points: 7 }, &mut ctx);
     println!("{}", sweep.table());
     println!(
         "best channel-filter edge: {:.1} MHz (the OFDM band needs ±8.3 MHz;\n\
          wider edges admit the +16 dB adjacent channel)",
-        sweep.best_edge_hz() / 1e6
+        fig5::best_edge_mhz(&sweep)
     );
 }

@@ -74,13 +74,14 @@ fn different_seeds_differ() {
 
 #[test]
 fn experiments_are_reproducible() {
-    use wlan_sim::experiments::{fig5, Effort};
-    let a = fig5::run(Effort::quick(), 3, 5);
-    let b = fig5::run(Effort::quick(), 3, 5);
-    for (x, y) in a.points.iter().zip(b.points.iter()) {
-        assert_eq!(x.ber, y.ber);
-        assert_eq!(x.bits, y.bits);
-    }
+    use wlan_sim::experiments::{execute, fig5, Effort, RunContext};
+    let run = || {
+        let mut ctx = RunContext::serial_reference(Effort::quick(), 5);
+        execute(&fig5::Fig5Sweep { points: 3 }, &mut ctx)
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.column("ber"), b.column("ber"));
+    assert_eq!(a.column("bits"), b.column("bits"));
 }
 
 #[test]

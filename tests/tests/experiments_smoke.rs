@@ -18,20 +18,34 @@ fn fig4_smoke() {
     assert!(r.table().len() > 10);
 }
 
+/// Runs `exp` under the serial reference context at quick effort.
+fn quick(exp: &dyn Experiment, seed: u64) -> RunOutput {
+    execute(
+        exp,
+        &mut RunContext::serial_reference(Effort::quick(), seed),
+    )
+}
+
 #[test]
 fn fig5_smoke() {
-    let r = fig5::run(Effort::quick(), 4, 2);
-    assert_eq!(r.points.len(), 4);
-    assert!(r.points.iter().all(|p| p.ber.is_finite() && p.ber <= 1.0));
+    let ber = quick(&fig5::Fig5Sweep { points: 4 }, 2).column("ber");
+    assert_eq!(ber.len(), 4);
+    assert!(ber.iter().all(|b| b.is_finite() && *b <= 1.0));
 }
 
 #[test]
 fn fig6_smoke() {
-    let r = fig6::run(Effort::quick(), -45.0, -10.0, 3, 3);
-    assert_eq!(r.points.len(), 3);
+    let exp = fig6::Fig6Sweep {
+        lo_dbm: wlan_units::Dbm(-45.0),
+        hi_dbm: wlan_units::Dbm(-10.0),
+        points: 3,
+    };
+    let out = quick(&exp, 3);
+    let (alone, adjacent) = (out.column("ber_alone"), out.column("ber_adjacent"));
+    assert_eq!(alone.len(), 3);
     // The adjacent series can never beat the alone series by much.
-    for p in &r.points {
-        assert!(p.ber_adjacent + 0.25 >= p.ber_alone, "{p:?}");
+    for (a, adj) in alone.iter().zip(&adjacent) {
+        assert!(adj + 0.25 >= *a, "alone {a} adjacent {adj}");
     }
 }
 
@@ -52,15 +66,23 @@ fn table2_smoke() {
 
 #[test]
 fn ip3_smoke() {
-    let r = ip3::run(Effort::quick(), -35.0, -5.0, 3, 5, &wlan_phy::IEEE_802_11A);
-    assert_eq!(r.points.len(), 3);
-    assert!(r.points[0].ber >= r.points[2].ber);
+    let exp = ip3::Ip3Sweep {
+        lo_dbm: wlan_units::Dbm(-35.0),
+        hi_dbm: wlan_units::Dbm(-5.0),
+        points: 3,
+    };
+    let ber = quick(&exp, 5).column("ber");
+    assert_eq!(ber.len(), 3);
+    assert!(ber[0] >= ber[2]);
 }
 
 #[test]
 fn nf_smoke() {
-    let r = noise_figure::run(Effort::quick(), -80.0, 2, 6);
-    assert_eq!(r.points.len(), 2);
+    let exp = noise_figure::NfSweep {
+        rx_level_dbm: wlan_units::Dbm(-80.0),
+        points: 2,
+    };
+    assert_eq!(quick(&exp, 6).points.len(), 2);
 }
 
 #[test]

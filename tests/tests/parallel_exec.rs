@@ -9,7 +9,7 @@ use wlan_meas::montecarlo::{run_sharded, EarlyStop, McPlan};
 use wlan_meas::BerMeter;
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
-use wlan_sim::experiments::{ip3, Effort, Engine};
+use wlan_sim::experiments::{ip3, Effort, Engine, Experiment, RunContext, RunOutput};
 use wlan_sim::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation, McRun, ShardReport};
 
 #[test]
@@ -155,28 +155,22 @@ fn early_stopping_decisions_are_thread_invariant() {
 #[test]
 fn experiment_sweep_is_thread_invariant_end_to_end() {
     // Full RF-chain experiment through the engine: 1 vs 4 threads.
-    let serial = ip3::run_parallel(
-        Effort::quick(),
-        -35.0,
-        -15.0,
-        2,
-        11,
-        &wlan_phy::IEEE_802_11A,
-        &Engine::serial(),
-    );
-    let par = ip3::run_parallel(
-        Effort::quick(),
-        -35.0,
-        -15.0,
-        2,
-        11,
-        &wlan_phy::IEEE_802_11A,
-        &Engine::with_threads(4),
-    );
-    assert_eq!(serial.points.len(), par.points.len());
-    for (a, b) in serial.points.iter().zip(par.points.iter()) {
-        assert_eq!(a, b);
-    }
+    let exp = ip3::Ip3Sweep {
+        lo_dbm: wlan_units::Dbm(-35.0),
+        hi_dbm: wlan_units::Dbm(-15.0),
+        points: 2,
+    };
+    let on = |engine| {
+        exp.run(&RunContext {
+            engine,
+            serial: false,
+            ..RunContext::serial_reference(Effort::quick(), 11)
+        })
+    };
+    let (serial, par) = (on(Engine::serial()), on(Engine::with_threads(4)));
+    assert_eq!(serial.snapshot, par.snapshot);
+    let bits = |o: &RunOutput| o.points.iter().map(|p| p.bits).collect::<Vec<_>>();
+    assert_eq!(bits(&serial), bits(&par));
 }
 
 #[test]
