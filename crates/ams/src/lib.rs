@@ -26,6 +26,8 @@
 //! * [`cosim`] — the DSP-rate ↔ analog-rate bridge and the co-simulated
 //!   double-conversion receiver
 
+#![forbid(unsafe_code)]
+
 pub mod cosim;
 pub mod devices;
 pub mod elaborate;

@@ -19,6 +19,8 @@
 //! `dsp_kernels`, `phy_chain`, `rf_frontend`,
 //! `table2_abstraction_levels` — timed by the in-crate [`harness`].
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 
 /// Writes a table's CSV next to the current directory under `results/`.

@@ -15,6 +15,8 @@
 //! * [`interferer`] — oversampled scene composition with frequency-offset
 //!   interferers (the adjacent channel)
 
+#![forbid(unsafe_code)]
+
 pub mod awgn;
 pub mod doppler;
 pub mod fading;

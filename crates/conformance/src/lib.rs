@@ -25,6 +25,8 @@
 //! on any failure; `tests/tests/conformance.rs` and
 //! `tests/tests/golden.rs` gate the same checks in `cargo test`.
 
+#![forbid(unsafe_code)]
+
 pub mod annex_g;
 pub mod golden;
 pub mod json;

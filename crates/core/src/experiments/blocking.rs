@@ -54,6 +54,27 @@ impl Default for BlockingSweep {
     }
 }
 
+/// The link of one series at one point: an interferer `spacings`
+/// channel spacings up, `rel_db` above the wanted signal, on the
+/// master seed plus `seed_offset`.
+fn link(rate: Rate, spacings: f64, seed_offset: u64, rel_db: f64, ctx: &RunContext) -> LinkConfig {
+    LinkConfig {
+        profile: ctx.profile,
+        rate,
+        psdu_len: ctx.effort.psdu_len,
+        packets: ctx.effort.packets,
+        seed: ctx.seed.wrapping_add(seed_offset),
+        rx_level_dbm: -60.0,
+        adjacent: Some(AdjacentChannel {
+            offset_hz: spacings * ctx.profile.sample_rate,
+            rel_db,
+        }),
+        front_end: FrontEnd::RfBaseband(RfConfig::default()),
+        osr: 8, // the +40 MHz alternate channel needs ±80 MHz of scene
+        ..LinkConfig::default()
+    }
+}
+
 impl Experiment for BlockingSweep {
     fn name(&self) -> &'static str {
         "blocking"
@@ -74,23 +95,6 @@ impl Experiment for BlockingSweep {
     /// numerologies.
     fn run(&self, ctx: &RunContext) -> RunOutput {
         let rate = self.rate;
-        let interferer = move |spacings: f64, seed_offset: u64| {
-            move |rel_db: f64, ctx: &RunContext| LinkConfig {
-                profile: ctx.profile,
-                rate,
-                psdu_len: ctx.effort.psdu_len,
-                packets: ctx.effort.packets,
-                seed: ctx.seed.wrapping_add(seed_offset),
-                rx_level_dbm: -60.0,
-                adjacent: Some(AdjacentChannel {
-                    offset_hz: spacings * ctx.profile.sample_rate,
-                    rel_db,
-                }),
-                front_end: FrontEnd::RfBaseband(RfConfig::default()),
-                osr: 8, // the +40 MHz alternate channel needs ±80 MHz of scene
-                ..LinkConfig::default()
-            }
-        };
         let mut out = LinkSweep {
             title: format!(
                 "BER vs interferer level ({rate}): adjacent (+20 MHz) vs alternate (+40 MHz)"
@@ -103,8 +107,12 @@ impl Experiment for BlockingSweep {
                 values: Sweep::linspace(self.lo_db.0, self.hi_db.0, self.points.max(2)),
             },
             series: vec![
-                Series::link("ber_adjacent", "BER adj", Some("adj"), interferer(1.0, 0)),
-                Series::link("ber_alternate", "BER alt", Some("alt"), interferer(2.0, 7)),
+                Series::link("ber_adjacent", "BER adj", Some("adj"), move |x, ctx| {
+                    link(rate, 1.0, 0, x, ctx)
+                }),
+                Series::link("ber_alternate", "BER alt", Some("alt"), move |x, ctx| {
+                    link(rate, 2.0, 7, x, ctx)
+                }),
             ],
             header: vec![("rate_mbps", rate.mbps() as f64)],
             bar_width: 18,
@@ -172,6 +180,65 @@ mod tests {
     fn table_renders() {
         let out = run(10.0, 20.0, 2, 6);
         assert!(out.table().render().contains("interferer"));
+    }
+
+    #[test]
+    fn ber_cells_use_their_own_series_bit_count() {
+        // With early stopping the adjacent series stops before its
+        // frame budget while the alternate, error-free, runs all of
+        // it: each BER cell (a zero BER prints `<1/bits`) must use its
+        // own series' bit count.
+        use crate::experiments::Engine;
+        use crate::link::McRun;
+        use crate::report::format_ber;
+        use wlan_exec::ThreadPool;
+        use wlan_meas::montecarlo::EarlyStop;
+        let exp = BlockingSweep {
+            rate: Rate::R12,
+            lo_db: Db(24.0),
+            hi_db: Db(44.0),
+            points: 2,
+        };
+        let ctx = RunContext {
+            effort: Effort {
+                packets: 40,
+                psdu_len: 100,
+            },
+            seed: 42,
+            engine: Engine {
+                pool: ThreadPool::serial(),
+                mc: McRun {
+                    early_stop: Some(EarlyStop::default()),
+                    ..McRun::default()
+                },
+            },
+            serial: false,
+            ..RunContext::default()
+        };
+        let out = exp.run(&ctx);
+        let rows = out.table().rows();
+        let mut stopped_early = 0;
+        for (i, rel_db) in [24.0, 44.0].into_iter().enumerate() {
+            let adj = ctx.measure(link(exp.rate, 1.0, 0, rel_db, &ctx), i);
+            let alt = ctx.measure(link(exp.rate, 2.0, 7, rel_db, &ctx), i);
+            assert_eq!(
+                rows[i][1],
+                format_ber(adj.ber(), adj.meter.bits()),
+                "point {i}"
+            );
+            assert_eq!(
+                rows[i][2],
+                format_ber(alt.ber(), alt.meter.bits()),
+                "point {i}"
+            );
+            if alt.ber() == 0.0 && adj.meter.bits() < alt.meter.bits() {
+                stopped_early += 1;
+            }
+        }
+        assert!(
+            stopped_early > 0,
+            "no point where the series' counts differ: {rows:?}"
+        );
     }
 
     #[test]

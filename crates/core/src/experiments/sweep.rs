@@ -130,8 +130,9 @@ pub(crate) struct LinkSweep<'a> {
     pub title: String,
     /// The swept parameter.
     pub axis: Axis,
-    /// The curves measured at every point, in column order. The first
-    /// series' bit count is the point's.
+    /// The curves measured at every point, in column order. Each BER
+    /// cell uses its own series' bit count; the first series' count is
+    /// the point's in the snapshot and the per-point statistics.
     pub series: Vec<Series<'a>>,
     /// Scalar snapshot fields after `n_points` (`rate_mbps`, …).
     pub header: Vec<(&'static str, f64)>,
@@ -173,7 +174,7 @@ impl LinkSweep<'_> {
             let (mut extras, mut bars) = (Vec::new(), Vec::new());
             for (s, r) in self.series.iter().zip(readings) {
                 snapshot.push(field(s.key, r.ber));
-                cells.push(format_ber(r.ber, bits));
+                cells.push(format_ber(r.ber, r.bits));
                 for (e, &v) in s.extras.iter().zip(&r.extras) {
                     snapshot.extend(e.key.map(|key| field(key, v)));
                     extras.push((e.cell)(v));

@@ -35,6 +35,8 @@
 //! assert_eq!(report.ber(), 0.0); // 25 dB SNR is plenty for 24 Mbit/s
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod flow;
 pub mod link;

@@ -39,6 +39,8 @@
 //! assert_eq!(probe.samples()[0], Complex::new(2.0, 0.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod blocks;
 pub mod graph;

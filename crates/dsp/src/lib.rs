@@ -34,6 +34,8 @@
 //! assert!(buf[3].abs() > 7.9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod complex;
 pub mod corr;
 pub mod design;

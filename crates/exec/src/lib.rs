@@ -20,6 +20,8 @@
 //! No external dependencies and no unsafe code; the workspace must keep
 //! building offline.
 
+#![forbid(unsafe_code)]
+
 pub mod pool;
 pub mod seed;
 

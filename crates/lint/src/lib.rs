@@ -26,6 +26,8 @@
 //! `wlan-lint` binary walks every built-in experiment graph and netlist
 //! (plus any `.net` files given on the command line) for CI use.
 
+#![forbid(unsafe_code)]
+
 pub mod ams;
 pub mod dataflow;
 pub mod numerology;

@@ -16,6 +16,8 @@
 //! acceptance bands, the ground truth the conformance suite holds the
 //! Monte-Carlo sweeps against.
 
+#![forbid(unsafe_code)]
+
 pub mod acpr;
 pub mod analytic;
 pub mod ber;

@@ -34,6 +34,8 @@
 //! assert_eq!(decoded.psdu, psdu);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod convolutional;
 pub mod equalizer;
 pub mod frame;

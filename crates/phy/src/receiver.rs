@@ -12,9 +12,7 @@ use crate::preamble::long_training_symbol;
 use crate::profile::{OfdmProfile, IEEE_802_11A};
 use crate::puncture::depuncture_into;
 use crate::signal_field::{SignalDecoder, SignalError, SignalField};
-use crate::sync::{
-    correct_cfo_into_at, correct_cfo_range_into, detect_packet_in, fine_cfo_at, locate_ltf_with,
-};
+use crate::sync::{correct_cfo_range_append, detect_packet_in, fine_cfo_at, locate_ltf_with};
 use crate::viterbi::{Llr, ViterbiDecoder};
 use wlan_dsp::Complex;
 
@@ -132,7 +130,9 @@ pub struct RxScratch {
     /// Coarse-CFO-corrected LTF search window (timing/fine-CFO
     /// estimation).
     coarse: Vec<Complex>,
-    /// Total-CFO-corrected samples (decoding input).
+    /// Total-CFO-corrected samples (decoding input), from the timing
+    /// backoff before the first LTF body through the last DATA
+    /// symbol.
     corrected: Vec<Complex>,
     /// Accumulated de-interleaved LLRs for the whole DATA field.
     llrs: Vec<Llr>,
@@ -293,7 +293,8 @@ impl Receiver {
         // The LTF search and the fine estimate read only
         // `[w_lo, w_hi + 2n)`, so only that window is coarse-derotated
         // (`scratch.coarse[i]` is sample `w_lo + i`).
-        correct_cfo_range_into(
+        scratch.coarse.clear();
+        correct_cfo_range_append(
             samples,
             w_lo..(w_hi + 2 * n).min(samples.len()),
             det.coarse_cfo_hz,
@@ -312,14 +313,7 @@ impl Receiver {
         let fine = fine_cfo_at(&scratch.coarse, ltf1 - w_lo, n, profile.sample_rate)
             .ok_or(RxError::LtfNotFound)?;
         let total_cfo = det.coarse_cfo_hz + fine;
-        correct_cfo_into_at(
-            samples,
-            total_cfo,
-            profile.sample_rate,
-            &mut scratch.corrected,
-        );
-
-        self.decode_from_into(ltf1, total_cfo, scratch)
+        self.decode_from_into(samples, ltf1, total_cfo, true, scratch)
     }
 
     /// Receives with genie timing: `ltf_start` is the known index of the
@@ -354,26 +348,22 @@ impl Receiver {
         cfo_hz: f64,
         scratch: &mut RxScratch,
     ) -> Result<RxSummary, RxError> {
-        if cfo_hz == 0.0 {
-            scratch.corrected.clear();
-            scratch.corrected.extend_from_slice(samples);
-        } else {
-            correct_cfo_into_at(
-                samples,
-                cfo_hz,
-                self.profile().sample_rate,
-                &mut scratch.corrected,
-            );
-        }
-        self.decode_from_into(ltf_start, cfo_hz, scratch)
+        self.decode_from_into(samples, ltf_start, cfo_hz, cfo_hz != 0.0, scratch)
     }
 
-    /// Decodes from `scratch.corrected` (CFO already removed); fills
+    /// Decodes the burst whose first LTF body is `samples[ltf1]`; fills
     /// `scratch.psdu` / `scratch.equalized`.
+    ///
+    /// Only the samples the decode reads reach `scratch.corrected`:
+    /// derotated by `cfo_hz` at their absolute index when `derotate`,
+    /// else copied. They go in twice, through the SIGNAL body and then,
+    /// once SIGNAL gives the length, through the last DATA symbol.
     fn decode_from_into(
         &self,
+        samples: &[Complex],
         ltf1: usize,
         cfo_hz: f64,
+        derotate: bool,
         scratch: &mut RxScratch,
     ) -> Result<RxSummary, RxError> {
         let profile = self.profile();
@@ -393,34 +383,47 @@ impl Receiver {
             equalized,
             ..
         } = scratch;
-        let x: &[Complex] = corrected;
+        let available = samples.len();
         let d = self.timing_backoff;
-        if ltf1 < d || ltf1 + 2 * n + sym_len > x.len() {
+        if ltf1 < d || ltf1 + 2 * n + sym_len > available {
             return Err(RxError::Truncated {
                 needed: ltf1 + 2 * n + sym_len,
-                available: x.len(),
+                available,
             });
         }
+        // `corrected[i]` is sample `base + i`.
+        let base = ltf1 - d;
+        let sample_rate = profile.sample_rate;
+        let fill = |out: &mut Vec<Complex>, range: std::ops::Range<usize>| {
+            if derotate {
+                correct_cfo_range_append(samples, range, cfo_hz, sample_rate, out);
+            } else {
+                out.extend_from_slice(&samples[range]);
+            }
+        };
+
+        // SIGNAL symbol body.
+        let sig_body_start = ltf1 + 2 * n + cp - d;
+        if sig_body_start + n > available {
+            return Err(RxError::Truncated {
+                needed: sig_body_start + n,
+                available,
+            });
+        }
+        corrected.clear();
+        fill(corrected, base..sig_body_start + n);
+        let x: &[Complex] = corrected;
 
         // Channel estimate from the two LTF bodies (with timing backoff —
         // the resulting linear phase is absorbed into H and cancelled for
         // the data symbols, which use the same backoff).
-        let b1 = &x[ltf1 - d..ltf1 - d + n];
-        let b2 = &x[ltf1 - d + n..ltf1 - d + 2 * n];
+        let b1 = &x[..n];
+        let b2 = &x[n..2 * n];
         let channel = ChannelEstimate::from_ltf(&self.ofdm, b1, b2);
         let snr_est_db = estimate_snr_db(&self.ofdm, b1, b2);
 
-        // SIGNAL symbol body.
-        let sig_body_start = ltf1 + 2 * n + cp - d;
-        if sig_body_start + n > x.len() {
-            return Err(RxError::Truncated {
-                needed: sig_body_start + n,
-                available: x.len(),
-            });
-        }
-        let sig_freq = self
-            .ofdm
-            .demodulate_body(&x[sig_body_start..sig_body_start + n]);
+        let sig_body = sig_body_start - base;
+        let sig_freq = self.ofdm.demodulate_body(&x[sig_body..sig_body + n]);
         let sig_eq = equalize_symbol(&sig_freq, &channel, 0);
         let signal = signal_dec.decode(&sig_eq.data, Some(&sig_eq.csi))?;
 
@@ -428,12 +431,11 @@ impl Receiver {
         let n_sym = rate.data_symbols(signal.length);
         let data_start = ltf1 + 2 * n + sym_len; // start of first DATA symbol (incl. CP)
         let needed = data_start + n_sym * sym_len - d;
-        if needed > x.len() {
-            return Err(RxError::Truncated {
-                needed,
-                available: x.len(),
-            });
+        if needed > available {
+            return Err(RxError::Truncated { needed, available });
         }
+        fill(corrected, sig_body_start + n..needed);
+        let x: &[Complex] = corrected;
 
         // Demodulate, equalize and soft-demap each DATA symbol.
         if il.as_ref().map(|(r, _)| *r) != Some(rate) {
@@ -447,7 +449,7 @@ impl Receiver {
         let mut ev_acc = 0.0f64;
         let mut ev_n = 0usize;
         for m in 0..n_sym {
-            let body = data_start + m * sym_len + cp - d;
+            let body = data_start + m * sym_len + cp - d - base;
             let freq = self.ofdm.demodulate_body(&x[body..body + n]);
             let eq = equalize_symbol(&freq, &channel, m + 1);
             demap_soft_into(&eq.data, rate.modulation(), Some(&eq.csi), sym_llrs);
@@ -508,6 +510,7 @@ mod tests {
     use super::*;
     use crate::params::{ALL_RATES, SAMPLE_RATE};
     use crate::profile::ALL_PROFILES;
+    use crate::sync::correct_cfo_into_at;
     use crate::transmitter::Transmitter;
     use wlan_dsp::rng::Rng;
 
@@ -671,8 +674,9 @@ mod tests {
         }
     }
 
-    /// `receive_into` as it was before the coarse pass was trimmed to the
-    /// LTF window: derotate the whole input, search it in place.
+    /// `receive_into` as it was before either derotation was trimmed:
+    /// coarse-derotate the whole input and search it in place, then
+    /// derotate the whole input by the total CFO and decode from that.
     fn receive_whole_coarse(
         rx: &Receiver,
         samples: &[Complex],
@@ -702,21 +706,117 @@ mod tests {
         let fine =
             fine_cfo_at(&coarse, ltf1, n, profile.sample_rate).ok_or(RxError::LtfNotFound)?;
         let total_cfo = det.coarse_cfo_hz + fine;
-        correct_cfo_into_at(
-            samples,
-            total_cfo,
-            profile.sample_rate,
-            &mut scratch.corrected,
-        );
-        rx.decode_from_into(ltf1, total_cfo, scratch)
+        let mut whole = Vec::new();
+        correct_cfo_into_at(samples, total_cfo, profile.sample_rate, &mut whole);
+        rx.decode_from_into(&whole, ltf1, total_cfo, false, scratch)
+    }
+
+    /// Asserts that two receives returned the same `Result` and, when
+    /// they decoded, the same PSDU and equalized constellation bits.
+    fn assert_same_receive(
+        got: &Result<RxSummary, RxError>,
+        got_s: &RxScratch,
+        want: &Result<RxSummary, RxError>,
+        want_s: &RxScratch,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.signal, w.signal, "{what}");
+                assert_eq!(g.cfo_hz.to_bits(), w.cfo_hz.to_bits(), "{what}");
+                assert_eq!(g.evm_rms.to_bits(), w.evm_rms.to_bits(), "{what}");
+                assert_eq!(
+                    g.snr_est_db.map(f64::to_bits),
+                    w.snr_est_db.map(f64::to_bits),
+                    "{what}"
+                );
+                assert_eq!(got_s.psdu, want_s.psdu, "{what}");
+                let bits = |s: &RxScratch| -> Vec<(u64, u64)> {
+                    s.equalized
+                        .iter()
+                        .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(got_s), bits(want_s), "{what}");
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}"),
+            _ => panic!("{what}: trimmed {got:?} vs whole {want:?}"),
+        }
+    }
+
+    #[test]
+    fn trimmed_derotation_matches_whole_buffer() {
+        // Every rate on every profile, with noise, a frequency offset
+        // and pads, plus a burst cut inside its DATA field and pure
+        // noise: the receive that derotates only the decoded samples
+        // returns what the whole-buffer derotation does, bit for bit.
+        // The genie-timing receive is checked against a whole-buffer
+        // derotation too, and at zero CFO against the plain copy.
+        let mut rng = Rng::new(31);
+        let (mut got_s, mut want_s) = (RxScratch::default(), RxScratch::default());
+        let mut decoded = 0;
+        for p in ALL_PROFILES {
+            let rx = Receiver::with_profile(p);
+            for r in ALL_RATES {
+                let mut psdu = vec![0u8; 57];
+                rng.bytes(&mut psdu);
+                let burst = Transmitter::with_profile(r, p).transmit(&psdu);
+                let cfo = 0.003 * p.sample_rate;
+                let nv = wlan_dsp::math::db_to_lin(-30.0);
+                let w = 2.0 * std::f64::consts::PI * cfo / p.sample_rate;
+                let pad = 200;
+                let mut x: Vec<Complex> = (0..pad).map(|_| rng.complex_gaussian(nv)).collect();
+                for (n, &s) in burst.samples.iter().enumerate() {
+                    x.push(s * Complex::cis(w * (pad + n) as f64) + rng.complex_gaussian(nv));
+                }
+                x.extend((0..200).map(|_| rng.complex_gaussian(nv)));
+                let what = format!("{} {r}", p.name);
+                let got = rx.receive_into(&x, &mut got_s);
+                let want = receive_whole_coarse(&rx, &x, &mut want_s);
+                assert_same_receive(&got, &got_s, &want, &want_s, &what);
+                assert_eq!(got_s.psdu, psdu, "{what}");
+                decoded += 1;
+
+                let ltf1 = pad + p.stf_len() + p.ltf_guard();
+                let got = rx.receive_with_timing_into(&x, ltf1, cfo, &mut got_s);
+                let mut whole = Vec::new();
+                correct_cfo_into_at(&x, cfo, p.sample_rate, &mut whole);
+                let want = rx.decode_from_into(&whole, ltf1, cfo, false, &mut want_s);
+                assert_same_receive(&got, &got_s, &want, &want_s, &format!("genie {what}"));
+
+                let ltf1 = p.stf_len() + p.ltf_guard();
+                let got = rx.receive_with_timing_into(&burst.samples, ltf1, 0.0, &mut got_s);
+                let want = rx.decode_from_into(&burst.samples, ltf1, 0.0, false, &mut want_s);
+                assert_same_receive(&got, &got_s, &want, &want_s, &format!("copy {what}"));
+                assert_eq!(got_s.psdu, psdu, "copy {what}");
+            }
+        }
+        assert_eq!(decoded, ALL_PROFILES.len() * ALL_RATES.len());
+
+        let rx = Receiver::new();
+        let burst = Transmitter::new(Rate::R6).transmit(&[0xC3; 200]);
+        let x = impaired(&burst.samples, 120, -52e3, 25.0, 32);
+        let cut = &x[..x.len() / 2];
+        let got = rx.receive_into(cut, &mut got_s);
+        let want = receive_whole_coarse(&rx, cut, &mut want_s);
+        assert_same_receive(&got, &got_s, &want, &want_s, "truncated");
+        match got {
+            Err(RxError::Truncated { available, .. }) => assert_eq!(available, cut.len()),
+            other => panic!("truncated input gave {other:?}"),
+        }
+
+        let noise: Vec<Complex> = (0..4000).map(|_| rng.complex_gaussian(1.0)).collect();
+        let got = rx.receive_into(&noise, &mut got_s);
+        let want = receive_whole_coarse(&rx, &noise, &mut want_s);
+        assert_same_receive(&got, &got_s, &want, &want_s, "noise");
     }
 
     #[test]
     fn windowed_coarse_pass_matches_whole_buffer_near_truncation() {
         // Cut a noisy, frequency-offset burst at every length from just
         // after detection through the LTF window's far edge into the
-        // DATA field: the outcome (error variant, or decoded bits, CFO
-        // and EVM) must equal the whole-buffer coarse pass's.
+        // DATA field: the outcome (error variant, or decoded bits, CFO,
+        // EVM and constellation) must equal the whole-buffer passes'.
         let burst = Transmitter::new(Rate::R12).transmit(&[0x5A; 40]);
         let x = impaired(&burst.samples, 90, 37e3, 25.0, 21);
         let rx = Receiver::new();
@@ -725,22 +825,12 @@ mod tests {
         for len in (150..=700).chain([x.len()]) {
             let got = rx.receive_into(&x[..len], &mut got_s);
             let want = receive_whole_coarse(&rx, &x[..len], &mut want_s);
-            match (&got, &want) {
-                (Ok(g), Ok(w)) => {
-                    assert_eq!(got_s.psdu, want_s.psdu, "len {len}");
-                    assert_eq!(g.cfo_hz.to_bits(), w.cfo_hz.to_bits(), "len {len}");
-                    assert_eq!(g.evm_rms.to_bits(), w.evm_rms.to_bits(), "len {len}");
-                    outcomes[0] += 1;
-                }
-                (Err(g), Err(w)) => {
-                    assert_eq!(g, w, "len {len}");
-                    match g {
-                        RxError::LtfNotFound => outcomes[1] += 1,
-                        RxError::Truncated { .. } => outcomes[2] += 1,
-                        _ => {}
-                    }
-                }
-                _ => panic!("len {len}: trimmed {got:?} vs whole {want:?}"),
+            assert_same_receive(&got, &got_s, &want, &want_s, &format!("len {len}"));
+            match got {
+                Ok(_) => outcomes[0] += 1,
+                Err(RxError::LtfNotFound) => outcomes[1] += 1,
+                Err(RxError::Truncated { .. }) => outcomes[2] += 1,
+                Err(_) => {}
             }
         }
         // Every regime occurs: decoded, LTF window cut, truncated DATA.

@@ -113,17 +113,19 @@ pub fn correct_cfo_into_at(
     sample_rate: f64,
     out: &mut Vec<Complex>,
 ) {
-    correct_cfo_range_into(samples, 0..samples.len(), cfo_hz, sample_rate, out);
+    out.clear();
+    correct_cfo_range_append(samples, 0..samples.len(), cfo_hz, sample_rate, out);
 }
 
-/// [`correct_cfo_into_at`] over `samples[range]` only: `out[i]` is
-/// sample `range.start + i` derotated at its absolute index, so it equals
-/// that element of the whole-buffer correction bit for bit.
+/// [`correct_cfo_into_at`] over `samples[range]` only, appended to
+/// `out`: the `k`-th appended value is sample `range.start + k`
+/// derotated at its absolute index, so it equals that element of the
+/// whole-buffer correction bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `range` is out of bounds of `samples`.
-pub(crate) fn correct_cfo_range_into(
+pub(crate) fn correct_cfo_range_append(
     samples: &[Complex],
     range: std::ops::Range<usize>,
     cfo_hz: f64,
@@ -131,7 +133,6 @@ pub(crate) fn correct_cfo_range_into(
     out: &mut Vec<Complex>,
 ) {
     let w = -2.0 * std::f64::consts::PI * cfo_hz / sample_rate;
-    out.clear();
     out.reserve(range.len());
     out.extend(
         samples[range.clone()]

@@ -23,6 +23,13 @@
 //! so every cost — and with the lower predecessor winning ties, every
 //! decision — is bit-identical to the reference full search in
 //! `wlan-conformance::refimpl`.
+//!
+//! The decode loop is compiled three times: for the target's baseline,
+//! for AVX2 and for AVX-512F. [`ViterbiDecoder::new`] picks the widest
+//! form this CPU runs, once, with `is_x86_feature_detected!`. The
+//! butterfly uses only IEEE add, subtract, multiply by `±1`, `<` and
+//! select, each exact at any vector width, and Rust never contracts
+//! to FMA, so every form returns the same metrics, decisions and bits.
 
 use crate::convolutional::{branch_output, N_STATES};
 
@@ -78,6 +85,8 @@ pub struct ViterbiDecoder {
     decisions: Vec<u64>,
     /// Scratch LLRs for [`ViterbiDecoder::decode_hard_into`].
     hard_llrs: Vec<Llr>,
+    /// The clone [`ViterbiDecoder::decode_soft_into`] runs.
+    level: SimdLevel,
 }
 
 impl Default for ViterbiDecoder {
@@ -87,7 +96,8 @@ impl Default for ViterbiDecoder {
 }
 
 impl ViterbiDecoder {
-    /// Creates a decoder (precomputes the branch signs).
+    /// Creates a decoder (precomputes the branch signs and picks the
+    /// widest vector form of the decode loop this CPU runs).
     pub fn new() -> Self {
         let sign = |bit: u8| if bit == 1 { 1.0 } else { -1.0 };
         let mut su = [0.0f64; HALF];
@@ -104,6 +114,7 @@ impl ViterbiDecoder {
             sv,
             decisions: Vec::new(),
             hard_llrs: Vec::new(),
+            level: SimdLevel::detect(),
         }
     }
 
@@ -127,6 +138,25 @@ impl ViterbiDecoder {
     ///
     /// Panics if `llrs.len()` is odd.
     pub fn decode_soft_into(&mut self, llrs: &[Llr], bits: &mut Vec<u8>) {
+        match self.level {
+            SimdLevel::Portable => decode_portable(self, llrs, bits),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => {
+                // SAFETY: `level` is `Avx2` only once `is_supported` saw AVX2 on this CPU.
+                unsafe { decode_avx2(self, llrs, bits) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => {
+                // SAFETY: `level` is `Avx512` only once `is_supported` saw AVX-512F here.
+                unsafe { decode_avx512(self, llrs, bits) }
+            }
+        }
+    }
+
+    /// The body of [`ViterbiDecoder::decode_soft_into`], inlined into
+    /// each of its per-level clones.
+    #[inline(always)]
+    fn decode_soft_body(&mut self, llrs: &[Llr], bits: &mut Vec<u8>) {
         assert!(
             llrs.len().is_multiple_of(2),
             "need two LLRs per trellis step"
@@ -219,6 +249,70 @@ impl ViterbiDecoder {
         self.decode_soft_into(&llrs, bits);
         self.hard_llrs = llrs;
     }
+}
+
+/// The vector width a decoder's loop runs at. Every level runs the
+/// same source, so every level returns the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SimdLevel {
+    /// The target's baseline: SSE2 (two `f64` lanes) on x86-64.
+    Portable,
+    /// AVX2: four `f64` lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512F: eight `f64` lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl SimdLevel {
+    /// Every level, widest first.
+    const ALL: &'static [SimdLevel] = &[
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2,
+        SimdLevel::Portable,
+    ];
+
+    /// Whether this CPU can run the level's clone.
+    fn is_supported(self) -> bool {
+        match self {
+            SimdLevel::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The widest level this CPU supports.
+    fn detect() -> SimdLevel {
+        SimdLevel::ALL
+            .iter()
+            .copied()
+            .find(|level| level.is_supported())
+            .unwrap_or(SimdLevel::Portable)
+    }
+}
+
+/// [`ViterbiDecoder::decode_soft_body`] at the target's baseline.
+fn decode_portable(dec: &mut ViterbiDecoder, llrs: &[Llr], bits: &mut Vec<u8>) {
+    dec.decode_soft_body(llrs, bits);
+}
+
+/// [`ViterbiDecoder::decode_soft_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn decode_avx2(dec: &mut ViterbiDecoder, llrs: &[Llr], bits: &mut Vec<u8>) {
+    dec.decode_soft_body(llrs, bits);
+}
+
+/// [`ViterbiDecoder::decode_soft_body`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn decode_avx512(dec: &mut ViterbiDecoder, llrs: &[Llr], bits: &mut Vec<u8>) {
+    dec.decode_soft_body(llrs, bits);
 }
 
 /// One steady-state trellis step: 32 butterflies from `metric` into
@@ -500,6 +594,110 @@ mod tests {
         // Unrenormalized, the best metric would sit near −8.4e280.
         let min = dec.metric.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(min.abs() < NORM_LIMIT, "renormalization did not run: {min}");
+    }
+
+    /// A decoder running `level`'s clone.
+    fn at_level(level: SimdLevel) -> ViterbiDecoder {
+        assert!(level.is_supported(), "{level:?} is not supported here");
+        ViterbiDecoder {
+            level,
+            ..ViterbiDecoder::new()
+        }
+    }
+
+    /// Codeword of `n_steps` trellis steps (random bits, then a zero
+    /// tail as far as it fits).
+    fn edge_codeword(n_steps: usize, rng: &mut Rng) -> Vec<u8> {
+        let mut bits: Vec<u8> = (0..n_steps).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let tail = n_steps.saturating_sub(6);
+        bits[tail..].fill(0);
+        encode(&bits)
+    }
+
+    /// Gaussian, tie-heavy integer and depunctured (all three code
+    /// rates) LLR streams of `n_steps` trellis steps.
+    fn edge_streams(n_steps: usize, rng: &mut Rng) -> Vec<(String, Vec<Llr>)> {
+        use crate::params::CodeRate;
+        use crate::puncture::{depuncture, puncture};
+        let coded = edge_codeword(n_steps, rng);
+        let sign = |b: u8| 1.0 - 2.0 * b as f64;
+        let mut streams = vec![
+            (
+                "gaussian".to_string(),
+                coded
+                    .iter()
+                    .map(|&b| sign(b) + 0.8 * rng.gaussian())
+                    .collect(),
+            ),
+            (
+                "integer".to_string(),
+                coded
+                    .iter()
+                    .map(|&b| (2.0 * sign(b) + (1.5 * rng.gaussian()).round()).clamp(-3.0, 3.0))
+                    .collect(),
+            ),
+        ];
+        // 6 steps are whole puncturing periods at both 2/3 and 3/4.
+        let padded = edge_codeword(n_steps.div_ceil(6) * 6, rng);
+        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34] {
+            let sent: Vec<Llr> = puncture(&padded, rate)
+                .iter()
+                .map(|&b| sign(b) + 0.6 * rng.gaussian())
+                .collect();
+            let mut full = depuncture(&sent, rate);
+            full.truncate(2 * n_steps);
+            streams.push((format!("{rate:?}"), full));
+        }
+        streams
+    }
+
+    #[test]
+    fn every_simd_level_matches_portable() {
+        // Each clone this CPU runs, one decoder per level reused down
+        // the trellis-edge lengths and back up, against the portable
+        // form: same bits and same final path metrics, bit for bit.
+        let levels: Vec<SimdLevel> = SimdLevel::ALL
+            .iter()
+            .copied()
+            .filter(|level| level.is_supported())
+            .collect();
+        println!(
+            "decoder SIMD levels covered: {levels:?}; new() selects {:?}",
+            ViterbiDecoder::new().level
+        );
+        assert_eq!(levels.last(), Some(&SimdLevel::Portable));
+        let mut decs: Vec<ViterbiDecoder> = levels.iter().map(|&level| at_level(level)).collect();
+        let mut rng = Rng::new(4097);
+        let steps: Vec<usize> = (0..=9).chain([4095, 4096, 4097, 8193]).collect();
+        let mut streams = Vec::new();
+        for &n_steps in steps.iter().rev().chain(&steps) {
+            streams.extend(
+                edge_streams(n_steps, &mut rng)
+                    .into_iter()
+                    .map(|(kind, llrs)| (format!("{kind} LLRs, {n_steps} steps"), llrs)),
+            );
+        }
+        // The renormalizing stream of `huge_llrs_renormalize_and_decode_exactly`.
+        let huge = encode(&tailed_message(&mut Rng::new(8), 4200))
+            .iter()
+            .map(|&b| if b == 1 { -1e277 } else { 1e277 })
+            .collect();
+        streams.push(("1e277 LLRs".to_string(), huge));
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (what, llrs) in &streams {
+            let (portable, wide) = decs.split_last_mut().expect("portable level");
+            portable.decode_soft_into(llrs, &mut want);
+            for dec in wide {
+                dec.decode_soft_into(llrs, &mut got);
+                assert_eq!(got, want, "{:?}: {what}", dec.level);
+                assert_eq!(
+                    dec.metric.map(f64::to_bits),
+                    portable.metric.map(f64::to_bits),
+                    "{:?} metrics: {what}",
+                    dec.level
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //! assert_eq!(y.len(), x.len() / 4); // decimated to 20 Msps
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adc;
 pub mod agc;
 pub mod amplifier;

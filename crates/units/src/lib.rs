@@ -60,6 +60,8 @@
 //!   carrying that power (`A = √(2P)`)
 //! * [`DbmPerHz::integrate`] — density × bandwidth → level
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
