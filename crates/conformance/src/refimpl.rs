@@ -515,6 +515,118 @@ pub fn rapp_reference(u: Complex, a1: f64, p1db_dbm: f64, p: f64) -> Complex {
     v * (1.0 + r.powf(2.0 * p)).powf(-1.0 / (2.0 * p))
 }
 
+/// Sliding cross-correlation of `x` against `ref_seq` (conjugated),
+/// normalized by the reference energy: `x.len() − ref_seq.len() + 1`
+/// outputs, each `(Σ_k x[i+k]·conj(r_k))·(1/E)` summed in ascending `k`
+/// through `Sum::<Complex>`. Empty when the signal is shorter than the
+/// reference, or the reference is empty.
+///
+/// This is the array-of-structs correlator the receiver's LTF timing
+/// search used before its structure-of-arrays kernel; the `wlan-phy`
+/// sync tests assert every compiled form of that kernel reproduces
+/// `|c[i]|` bit for bit.
+pub fn cross_correlate_reference(x: &[Complex], ref_seq: &[Complex]) -> Vec<Complex> {
+    if x.len() < ref_seq.len() || ref_seq.is_empty() {
+        return Vec::new();
+    }
+    let energy: f64 = ref_seq.iter().map(|r| r.norm_sqr()).sum();
+    let norm = if energy > 0.0 { 1.0 / energy } else { 1.0 };
+    (0..=x.len() - ref_seq.len())
+        .map(|i| {
+            ref_seq
+                .iter()
+                .enumerate()
+                .map(|(k, &r)| x[i + k] * r.conj())
+                .sum::<Complex>()
+                * norm
+        })
+        .collect()
+}
+
+/// Delay-and-correlate metric (Schmidl–Cox) over the whole input: for
+/// every `n`, `P[n] = Σ_{k<win} x[n+k]·conj(x[n+k+lag])` and `R[n] =
+/// Σ_{k<win} |x[n+k+lag]|²`, as running sums (the first window summed
+/// in order, then one add-and-drop per step).
+pub fn delay_correlate_reference(
+    x: &[Complex],
+    lag: usize,
+    win: usize,
+) -> (Vec<Complex>, Vec<f64>) {
+    let (mut p, mut r) = (Vec::new(), Vec::new());
+    if x.len() < lag + win {
+        return (p, r);
+    }
+    let mut acc_p = Complex::ZERO;
+    let mut acc_r = 0.0f64;
+    for k in 0..win {
+        acc_p += x[k] * x[k + lag].conj();
+        acc_r += x[k + lag].norm_sqr();
+    }
+    p.push(acc_p);
+    r.push(acc_r);
+    for n in 1..x.len() - lag - win + 1 {
+        let drop = n - 1;
+        let add = n + win - 1;
+        acc_p += x[add] * x[add + lag].conj() - x[drop] * x[drop + lag].conj();
+        acc_r += x[add + lag].norm_sqr() - x[drop + lag].norm_sqr();
+        p.push(acc_p);
+        r.push(acc_r);
+    }
+    (p, r)
+}
+
+/// Short-training detection as the receiver ran it before its scan
+/// stopped at the plateau: the delay correlation of
+/// [`delay_correlate_reference`] (lag `stf_period`, window
+/// `2·stf_period`) over the whole input, then the first `run`
+/// consecutive windows whose `|P|/R` exceeds `threshold`, with windows
+/// below the energy gate (`0.05·win·mean power`) scoring 0. Returns the
+/// plateau start and `P` a half run inside it, which the coarse CFO
+/// estimate reads.
+pub fn detect_reference(
+    samples: &[Complex],
+    threshold: f64,
+    run: usize,
+    stf_period: usize,
+) -> Option<(usize, Complex)> {
+    let win = 2 * stf_period;
+    let (p, r) = delay_correlate_reference(samples, stf_period, win);
+    if p.is_empty() {
+        return None;
+    }
+    let mean_power: f64 = samples.iter().map(|z| z.norm_sqr()).sum::<f64>() / samples.len() as f64;
+    let min_energy = 0.05 * win as f64 * mean_power;
+    let mut consecutive = 0usize;
+    for n in 0..p.len() {
+        let metric = if r[n] > min_energy.max(1e-300) {
+            p[n].abs() / r[n]
+        } else {
+            0.0
+        };
+        if metric > threshold {
+            consecutive += 1;
+            if consecutive >= run {
+                let start = n + 1 - run;
+                let m = (start + run / 2).min(p.len() - 1);
+                return Some((start, p[m]));
+            }
+        } else {
+            consecutive = 0;
+        }
+    }
+    None
+}
+
+/// The level of `levels` nearest `y`, by the comparator scan the
+/// hard-decision slicer used before its select chain: the first minimum
+/// of `|l − y|` under `partial_cmp`. Panics on a NaN `y`.
+pub fn nearest_level_reference(levels: &[f64], y: f64) -> f64 {
+    *levels
+        .iter()
+        .min_by(|a, b| (*a - y).abs().partial_cmp(&(*b - y).abs()).unwrap())
+        .expect("non-empty levels")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

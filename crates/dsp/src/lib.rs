@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod complex;
-pub mod corr;
 pub mod design;
 pub mod fft;
 pub mod fir;

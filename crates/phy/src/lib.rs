@@ -51,6 +51,7 @@ pub mod puncture;
 pub mod receiver;
 pub mod scrambler;
 pub mod signal_field;
+mod simd;
 pub mod sync;
 pub mod transmitter;
 pub mod viterbi;

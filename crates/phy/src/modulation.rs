@@ -39,46 +39,56 @@ fn axis_level(bits: &[u8]) -> f64 {
     }
 }
 
-/// Hard Gray decision for one axis: returns the bit group nearest to the
-/// (un-normalized) level `y`.
-fn axis_bits(y: f64, bits_per_axis: usize, out: &mut Vec<u8>) {
-    match bits_per_axis {
-        1 => out.push((y >= 0.0) as u8),
-        2 => {
-            let lvl = nearest(&[-3.0, -1.0, 1.0, 3.0], y);
-            let b = match lvl as i32 {
-                -3 => [0, 0],
-                -1 => [0, 1],
-                1 => [1, 1],
-                3 => [1, 0],
-                _ => unreachable!(),
-            };
-            out.extend_from_slice(&b);
-        }
-        3 => {
-            let lvl = nearest(&[-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0], y);
-            let b = match lvl as i32 {
-                -7 => [0, 0, 0],
-                -5 => [0, 0, 1],
-                -3 => [0, 1, 1],
-                -1 => [0, 1, 0],
-                1 => [1, 1, 0],
-                3 => [1, 1, 1],
-                5 => [1, 0, 1],
-                7 => [1, 0, 0],
-                _ => unreachable!(),
-            };
-            out.extend_from_slice(&b);
-        }
-        n => panic!("unsupported bits per axis: {n}"),
+/// Per-axis Gray levels of 16-QAM (un-normalized), lowest first.
+const LEVELS_2: [f64; 4] = [-3.0, -1.0, 1.0, 3.0];
+/// The bit group of each entry of [`LEVELS_2`].
+const GRAY_2: [[u8; 2]; 4] = [[0, 0], [0, 1], [1, 1], [1, 0]];
+/// Per-axis Gray levels of 64-QAM (un-normalized), lowest first.
+const LEVELS_3: [f64; 8] = [-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0];
+/// The bit group of each entry of [`LEVELS_3`].
+const GRAY_3: [[u8; 3]; 8] = [
+    [0, 0, 0],
+    [0, 0, 1],
+    [0, 1, 1],
+    [0, 1, 0],
+    [1, 1, 0],
+    [1, 1, 1],
+    [1, 0, 1],
+    [1, 0, 0],
+];
+
+/// The level nearest `y`: the first minimum of `|l − y|`, so a tie goes
+/// to the lower level. A select chain with a strict `<` instead of a
+/// comparator scan: no branch, and a NaN `y` (every distance NaN) picks
+/// the lowest level instead of panicking.
+#[inline]
+fn nearest_level<const N: usize>(levels: &[f64; N], y: f64) -> f64 {
+    let mut best = levels[0];
+    let mut best_d = (best - y).abs();
+    for &l in &levels[1..] {
+        let d = (l - y).abs();
+        let closer = d < best_d;
+        best = if closer { l } else { best };
+        best_d = if closer { d } else { best_d };
     }
+    best
 }
 
-fn nearest(levels: &[f64], y: f64) -> f64 {
-    *levels
-        .iter()
-        .min_by(|a, b| (*a - y).abs().partial_cmp(&(*b - y).abs()).unwrap())
-        .expect("non-empty levels")
+/// The index of odd integer level `l` in the `N` levels `−(N−1), …,
+/// N−1` (exact: small integers).
+fn level_index<const N: usize>(l: f64) -> usize {
+    ((l + (N - 1) as f64) / 2.0) as usize
+}
+
+/// Hard Gray decision for one axis: appends the bit group of the level
+/// nearest to the (un-normalized) value `y`.
+fn axis_bits(y: f64, bits_per_axis: usize, out: &mut Vec<u8>) {
+    let l = axis_nearest(y, bits_per_axis);
+    match bits_per_axis {
+        1 => out.push((l > 0.0) as u8),
+        2 => out.extend_from_slice(&GRAY_2[level_index::<4>(l)]),
+        _ => out.extend_from_slice(&GRAY_3[level_index::<8>(l)]),
+    }
 }
 
 /// Max-log LLRs for one axis value `y` (un-normalized level domain).
@@ -224,7 +234,9 @@ pub fn constellation(modulation: Modulation) -> Vec<Complex> {
 }
 
 /// Nearest Gray level for one axis (un-normalized domain); ties snap to
-/// the lower level, matching [`demap_hard`]'s first-minimum scan.
+/// the lower level. [`demap_hard`] and [`nearest_point`] both slice
+/// through it.
+#[inline]
 fn axis_nearest(y: f64, bits_per_axis: usize) -> f64 {
     match bits_per_axis {
         1 => {
@@ -234,8 +246,8 @@ fn axis_nearest(y: f64, bits_per_axis: usize) -> f64 {
                 -1.0
             }
         }
-        2 => nearest(&[-3.0, -1.0, 1.0, 3.0], y),
-        3 => nearest(&[-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0], y),
+        2 => nearest_level(&LEVELS_2, y),
+        3 => nearest_level(&LEVELS_3, y),
         n => panic!("unsupported bits per axis: {n}"),
     }
 }
@@ -245,6 +257,7 @@ fn axis_nearest(y: f64, bits_per_axis: usize) -> f64 {
 /// Allocation-free: snaps each axis directly to its nearest Gray level
 /// (identical result to hard-demapping and re-mapping, which the EVM
 /// loop used to do through two transient vectors per point).
+#[inline]
 pub fn nearest_point(y: Complex, modulation: Modulation) -> Complex {
     let bps = modulation.bits_per_carrier();
     let kmod = modulation.kmod();
@@ -385,6 +398,76 @@ mod tests {
         let p = map_bits(&[1, 0, 0, 1, 1, 1], Modulation::Qam64)[0];
         let noisy = p + Complex::new(0.02, -0.02);
         assert_eq!(nearest_point(noisy, Modulation::Qam64), p);
+    }
+
+    #[test]
+    fn slicer_matches_scan_reference() {
+        // The select chain against the comparator scan it replaced, on
+        // ties (midpoints between levels), signed zeros, tiny, huge and
+        // infinite values and noise: the same level, bit for bit. Hard
+        // decisions re-map to the same point `nearest_point` gives.
+        use wlan_conformance::refimpl::nearest_level_reference;
+        let mut rng = Rng::new(9);
+        let mut ys = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE,
+            1e-300,
+            9_007_199_254_740_993.0,
+            -1e17,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for t in [2.0, 4.0, 6.0, 8.0, 1.0, 3.0] {
+            ys.extend([t, -t, t + 1e-15, -t - 1e-15]);
+        }
+        ys.extend((0..2000).map(|_| 5.0 * rng.gaussian()));
+        for &y in &ys {
+            for l in [nearest_level(&LEVELS_2, y), axis_nearest(y, 2)] {
+                let want = nearest_level_reference(&LEVELS_2, y);
+                assert_eq!(l.to_bits(), want.to_bits(), "16-QAM axis at {y:e}");
+            }
+            for l in [nearest_level(&LEVELS_3, y), axis_nearest(y, 3)] {
+                let want = nearest_level_reference(&LEVELS_3, y);
+                assert_eq!(l.to_bits(), want.to_bits(), "64-QAM axis at {y:e}");
+            }
+        }
+        ys.push(f64::NAN);
+        for m in ALL {
+            let k = m.kmod();
+            for &y in &ys {
+                let z = Complex::new(y * k, -y * k);
+                let p = nearest_point(z, m);
+                let remapped = map_bits(&demap_hard(&[z], m), m)[0];
+                let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+                assert!(
+                    same(p.re, remapped.re) && same(p.im, remapped.im),
+                    "{m:?} at {y:e}: {p} vs {remapped}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nan_slices_to_the_lowest_level() {
+        // The comparator scan panicked on a NaN; the chain keeps the
+        // first level, as it does when every distance ties.
+        assert_eq!(nearest_level(&LEVELS_2, f64::NAN), -3.0);
+        assert_eq!(nearest_level(&LEVELS_3, f64::NAN), -7.0);
+        let nan = Complex::new(f64::NAN, f64::NAN);
+        let k = Modulation::Qam64.kmod();
+        assert_eq!(
+            nearest_point(nan, Modulation::Qam64),
+            Complex::new(-7.0 * k, -7.0 * k)
+        );
+        assert_eq!(demap_hard(&[nan], Modulation::Qam16), vec![0, 0, 0, 0]);
+        assert!(std::panic::catch_unwind(|| {
+            wlan_conformance::refimpl::nearest_level_reference(&LEVELS_2, f64::NAN)
+        })
+        .is_err());
     }
 
     #[test]

@@ -4,15 +4,20 @@
 use crate::params::CodeRate;
 use crate::viterbi::Llr;
 
-/// Keep-mask over the interleaved coded stream `A₀B₀A₁B₁…` for one
-/// puncturing period.
-fn mask(rate: CodeRate) -> &'static [bool] {
+/// Positions kept in each puncturing period of the interleaved coded
+/// stream `A₀B₀A₁B₁…` at rate 1/2: all of them.
+const KEEP_12: [usize; 2] = [0, 1];
+/// Period A₁B₁ A₂(B₂ stolen): keep A1 B1 A2, drop B2.
+const KEEP_23: [usize; 3] = [0, 1, 2];
+/// Period A₁B₁ A₂B₂ A₃B₃: transmit A1 B1 A2 B3, drop B2 and A3.
+const KEEP_34: [usize; 4] = [0, 1, 2, 5];
+
+/// The puncturing period (coded bits) and the positions it keeps.
+fn pattern(rate: CodeRate) -> (usize, &'static [usize]) {
     match rate {
-        CodeRate::R12 => &[true, true],
-        // Period: A₁B₁ A₂(B₂ stolen) → keep A1 B1 A2, drop B2.
-        CodeRate::R23 => &[true, true, true, false],
-        // Period: A₁B₁ (A₂... ) transmit A1 B1 A2 B3 — drop B2 and A3.
-        CodeRate::R34 => &[true, true, true, false, false, true],
+        CodeRate::R12 => (2, &KEEP_12),
+        CodeRate::R23 => (4, &KEEP_23),
+        CodeRate::R34 => (6, &KEEP_34),
     }
 }
 
@@ -37,23 +42,26 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 ///
 /// Panics if `coded.len()` is not a multiple of the puncturing period.
 pub fn puncture_into(coded: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
-    let m = mask(rate);
+    let (period, kept) = pattern(rate);
     assert!(
-        coded.len().is_multiple_of(m.len()),
-        "coded length {} is not a multiple of the puncturing period {}",
+        coded.len().is_multiple_of(period),
+        "coded length {} is not a multiple of the puncturing period {period}",
         coded.len(),
-        m.len()
     );
     out.clear();
-    let (kept, period) = expansion(rate);
-    out.reserve(coded.len() / period * kept);
-    out.extend(
-        coded
-            .iter()
-            .zip(m.iter().cycle())
-            .filter(|(_, &keep)| keep)
-            .map(|(&b, _)| b),
-    );
+    out.reserve(coded.len() / period * kept.len());
+    match rate {
+        CodeRate::R12 => keep_periods::<2, 2>(coded, KEEP_12, out),
+        CodeRate::R23 => keep_periods::<4, 3>(coded, KEEP_23, out),
+        CodeRate::R34 => keep_periods::<6, 4>(coded, KEEP_34, out),
+    }
+}
+
+/// Appends positions `keep` of each `P`-bit period of `coded`.
+fn keep_periods<const P: usize, const K: usize>(coded: &[u8], keep: [usize; K], out: &mut Vec<u8>) {
+    for period in coded.chunks_exact(P) {
+        out.extend_from_slice(&keep.map(|j| period[j]));
+    }
 }
 
 /// Re-inserts erasures (zero LLRs) at the punctured positions so the
@@ -77,32 +85,42 @@ pub fn depuncture(llrs: &[Llr], rate: CodeRate) -> Vec<Llr> {
 /// Panics if `llrs.len()` is not a multiple of the kept-bits-per-period
 /// count.
 pub fn depuncture_into(llrs: &[Llr], rate: CodeRate, out: &mut Vec<Llr>) {
-    let m = mask(rate);
-    let kept = m.iter().filter(|&&k| k).count();
+    let (period, kept) = pattern(rate);
     assert!(
-        llrs.len().is_multiple_of(kept),
-        "punctured length {} is not a multiple of {kept}",
-        llrs.len()
+        llrs.len().is_multiple_of(kept.len()),
+        "punctured length {} is not a multiple of {}",
+        llrs.len(),
+        kept.len()
     );
-    let periods = llrs.len() / kept;
     out.clear();
-    out.reserve(periods * m.len());
-    let mut it = llrs.iter();
-    for _ in 0..periods {
-        for &keep in m {
-            if keep {
-                out.push(*it.next().expect("length checked above"));
-            } else {
-                out.push(0.0);
-            }
+    out.reserve(llrs.len() / kept.len() * period);
+    match rate {
+        CodeRate::R12 => erase_periods::<2, 2>(llrs, KEEP_12, out),
+        CodeRate::R23 => erase_periods::<4, 3>(llrs, KEEP_23, out),
+        CodeRate::R34 => erase_periods::<6, 4>(llrs, KEEP_34, out),
+    }
+}
+
+/// Appends one `P`-LLR period per `K` LLRs of `llrs`: each at its
+/// position in `keep`, zeros elsewhere.
+fn erase_periods<const P: usize, const K: usize>(
+    llrs: &[Llr],
+    keep: [usize; K],
+    out: &mut Vec<Llr>,
+) {
+    for sent in llrs.chunks_exact(K) {
+        let mut period = [0.0; P];
+        for (&j, &l) in keep.iter().zip(sent) {
+            period[j] = l;
         }
+        out.extend_from_slice(&period);
     }
 }
 
 /// Number of transmitted bits per period / coded bits per period.
 pub fn expansion(rate: CodeRate) -> (usize, usize) {
-    let m = mask(rate);
-    (m.iter().filter(|&&k| k).count(), m.len())
+    let (period, kept) = pattern(rate);
+    (kept.len(), period)
 }
 
 #[cfg(test)]
@@ -174,6 +192,50 @@ mod tests {
             let full = depuncture(&llrs, rate);
             assert_eq!(full.len(), coded.len());
             assert_eq!(decode_soft(&full), msg, "{rate:?}");
+        }
+    }
+
+    /// The keep-mask forms `puncture_into` and `depuncture_into` had
+    /// before their per-period loops.
+    fn mask(rate: CodeRate) -> &'static [bool] {
+        match rate {
+            CodeRate::R12 => &[true, true],
+            CodeRate::R23 => &[true, true, true, false],
+            CodeRate::R34 => &[true, true, true, false, false, true],
+        }
+    }
+
+    #[test]
+    fn per_period_loops_match_mask_forms() {
+        let mut rng = Rng::new(11);
+        let (mut out, mut full) = (Vec::new(), Vec::new());
+        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34] {
+            let m = mask(rate);
+            let kept = m.iter().filter(|&&k| k).count();
+            for periods in [0usize, 1, 2, 7, 408] {
+                let mut coded = vec![0u8; periods * m.len()];
+                rng.bits(&mut coded);
+                let want: Vec<u8> = coded
+                    .iter()
+                    .zip(m.iter().cycle())
+                    .filter(|(_, &keep)| keep)
+                    .map(|(&b, _)| b)
+                    .collect();
+                puncture_into(&coded, rate, &mut out);
+                assert_eq!(out, want, "{rate:?} {periods}");
+
+                let llrs: Vec<Llr> = (0..periods * kept)
+                    .map(|i| if i % 5 == 0 { -0.0 } else { rng.gaussian() })
+                    .collect();
+                let mut it = llrs.iter();
+                let want: Vec<Llr> = (0..periods)
+                    .flat_map(|_| m.iter())
+                    .map(|&keep| if keep { *it.next().unwrap() } else { 0.0 })
+                    .collect();
+                depuncture_into(&llrs, rate, &mut full);
+                let bits = |v: &[Llr]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&full), bits(&want), "{rate:?} {periods}");
+            }
         }
     }
 

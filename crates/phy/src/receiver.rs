@@ -12,7 +12,9 @@ use crate::preamble::long_training_symbol;
 use crate::profile::{OfdmProfile, IEEE_802_11A};
 use crate::puncture::depuncture_into;
 use crate::signal_field::{SignalDecoder, SignalError, SignalField};
-use crate::sync::{correct_cfo_range_append, detect_packet_in, fine_cfo_at, locate_ltf_with};
+use crate::sync::{
+    correct_cfo_range_append, detect_packet_in, fine_cfo_at, locate_ltf_with, LtfSearch,
+};
 use crate::viterbi::{Llr, ViterbiDecoder};
 use wlan_dsp::Complex;
 
@@ -121,12 +123,10 @@ impl RxSummary {
 /// packets, so steady-state reception performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
-    /// Delay-correlation metric P (detection).
+    /// Delay-correlation metric P up to the detected plateau.
     p: Vec<Complex>,
-    /// Delay-correlation energy R (detection).
-    r: Vec<f64>,
-    /// LTF cross-correlation values.
-    xcorr: Vec<Complex>,
+    /// LTF timing search buffers and kernel level.
+    ltf_search: LtfSearch,
     /// Coarse-CFO-corrected LTF search window (timing/fine-CFO
     /// estimation).
     coarse: Vec<Complex>,
@@ -158,7 +158,7 @@ impl RxScratch {
     /// whichever rate maximizes each buffer. Without this, a rare decode
     /// candidate whose (possibly corrupted) LENGTH exceeds everything
     /// seen during warm-up grows the scratch mid-run. Sync-stage buffers
-    /// (`p`, `r`, `xcorr`, `coarse`, `corrected`) scale with the input
+    /// (`p`, `ltf_search`, `coarse`, `corrected`) scale with the input
     /// waveform length and are sized by the first call instead.
     ///
     /// [`MAX_PSDU_LEN`]: crate::params::MAX_PSDU_LEN
@@ -278,7 +278,6 @@ impl Receiver {
             profile.stf_period(),
             profile.sample_rate,
             &mut scratch.p,
-            &mut scratch.r,
         )
         .ok_or(RxError::NotDetected)?;
 
@@ -306,7 +305,7 @@ impl Receiver {
                 &scratch.coarse,
                 &self.ltf[..n],
                 0..w_hi - w_lo,
-                &mut scratch.xcorr,
+                &mut scratch.ltf_search,
             )
             .ok_or(RxError::LtfNotFound)?;
 
@@ -665,6 +664,33 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_bursts_never_panic() {
+        // All-NaN and all-infinite input fail detection. A clean burst
+        // whose DATA field turns NaN or infinite after the SIGNAL symbol
+        // carries non-finite values through the EVM slicer and the
+        // decoder, which must not panic on them.
+        let rx = Receiver::new();
+        let mut s = RxScratch::default();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let x = vec![Complex::new(v, v); 2000];
+            assert_eq!(
+                rx.receive_into(&x, &mut s).err(),
+                Some(RxError::NotDetected),
+                "{v}"
+            );
+        }
+        let burst = Transmitter::new(Rate::R54).transmit(&[0x96; 120]);
+        for v in [f64::NAN, f64::INFINITY] {
+            let mut x = burst.samples.clone();
+            // 400 samples of preamble and SIGNAL, then three DATA symbols.
+            for z in &mut x[400 + 80 * 3..] {
+                *z = Complex::new(v, -v);
+            }
+            let _ = rx.receive_into(&x, &mut s);
+        }
+    }
+
+    #[test]
     fn truncated_burst_reports_error() {
         let burst = Transmitter::new(Rate::R6).transmit(&[1u8; 200]);
         let cut = &burst.samples[..600];
@@ -691,7 +717,6 @@ mod tests {
             profile.stf_period(),
             profile.sample_rate,
             &mut scratch.p,
-            &mut scratch.r,
         )
         .ok_or(RxError::NotDetected)?;
         let mut coarse = Vec::new();
@@ -701,7 +726,7 @@ mod tests {
         if w_lo >= w_hi {
             return Err(RxError::LtfNotFound);
         }
-        let ltf1 = locate_ltf_with(&coarse, &rx.ltf[..n], w_lo..w_hi, &mut scratch.xcorr)
+        let ltf1 = locate_ltf_with(&coarse, &rx.ltf[..n], w_lo..w_hi, &mut scratch.ltf_search)
             .ok_or(RxError::LtfNotFound)?;
         let fine =
             fine_cfo_at(&coarse, ltf1, n, profile.sample_rate).ok_or(RxError::LtfNotFound)?;

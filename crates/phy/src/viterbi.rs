@@ -26,12 +26,14 @@
 //!
 //! The decode loop is compiled three times: for the target's baseline,
 //! for AVX2 and for AVX-512F. [`ViterbiDecoder::new`] picks the widest
-//! form this CPU runs, once, with `is_x86_feature_detected!`. The
+//! form this CPU runs, once, with `is_x86_feature_detected!` (the
+//! level type is shared with the LTF timing search's kernel). The
 //! butterfly uses only IEEE add, subtract, multiply by `±1`, `<` and
 //! select, each exact at any vector width, and Rust never contracts
 //! to FMA, so every form returns the same metrics, decisions and bits.
 
 use crate::convolutional::{branch_output, N_STATES};
+use crate::simd::SimdLevel;
 
 /// Log-likelihood ratio convention: positive means bit 0 is more likely
 /// (`llr ∝ log P(b=0) − log P(b=1)`). Punctured positions use `0.0`
@@ -248,51 +250,6 @@ impl ViterbiDecoder {
         );
         self.decode_soft_into(&llrs, bits);
         self.hard_llrs = llrs;
-    }
-}
-
-/// The vector width a decoder's loop runs at. Every level runs the
-/// same source, so every level returns the same bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SimdLevel {
-    /// The target's baseline: SSE2 (two `f64` lanes) on x86-64.
-    Portable,
-    /// AVX2: four `f64` lanes.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// AVX-512F: eight `f64` lanes.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl SimdLevel {
-    /// Every level, widest first.
-    const ALL: &'static [SimdLevel] = &[
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512,
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2,
-        SimdLevel::Portable,
-    ];
-
-    /// Whether this CPU can run the level's clone.
-    fn is_supported(self) -> bool {
-        match self {
-            SimdLevel::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-        }
-    }
-
-    /// The widest level this CPU supports.
-    fn detect() -> SimdLevel {
-        SimdLevel::ALL
-            .iter()
-            .copied()
-            .find(|level| level.is_supported())
-            .unwrap_or(SimdLevel::Portable)
     }
 }
 
