@@ -20,6 +20,7 @@
 use std::time::Instant;
 use wlan_ams::CosimReceiver;
 use wlan_bench::harness::{Harness, Throughput};
+use wlan_conformance::refimpl::RfChainReference;
 use wlan_dsp::fft::Fft;
 use wlan_dsp::{Complex, Rng};
 use wlan_phy::viterbi::{Llr, ViterbiDecoder};
@@ -156,14 +157,14 @@ fn main() {
     });
     g.finish();
 
-    // --- RF chain: fused per-sample loop vs the staged Vec pipeline. ---
+    // --- RF chain: stage-major chain vs the sample-by-sample reference. ---
     let scene = tone_dbm(2e6, 80e6, -45.0, rf_len);
     let mut fused = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut staged = DoubleConversionReceiver::new(RfConfig::default(), 42);
+    let mut rf_ref = RfChainReference::new(&RfConfig::default(), 42);
     let mut scratch = RfScratch::default();
     let mut y = Vec::new();
     fused.process_into(&scene, &mut scratch, &mut y);
-    let want = staged.process_staged(&scene);
+    let want = rf_ref.process(&scene);
     let rf_ok = y.len() == want.len()
         && y.iter()
             .zip(&want)
@@ -178,9 +179,7 @@ fn main() {
             y.len()
         })
     });
-    let rf_ref_s = g.bench_function("process_staged", |b| {
-        b.iter(|| staged.process_staged(&scene).len())
-    });
+    let rf_ref_s = g.bench_function("reference", |b| b.iter(|| rf_ref.process(&scene).len()));
     g.finish();
 
     // --- Co-simulation: chunked analog engine (memoryless ZOH prefix,
@@ -268,7 +267,7 @@ fn main() {
     let cosim_speedup = cosim_ref_s / cosim_opt_s.max(1e-12);
     println!("viterbi  {vit_speedup:.2}x vs reference, bit-identical: {vit_ok}");
     println!("fft64    {fft_speedup:.2}x vs radix-2 loop, bit-identical: {fft_ok}");
-    println!("rf_chain {rf_speedup:.2}x vs staged, bit-identical: {rf_ok}");
+    println!("rf_chain {rf_speedup:.2}x vs reference, bit-identical: {rf_ok}");
     println!(
         "cosim    {cosim_speedup:.2}x (osr {cosim_osr}) vs sample-by-sample, \
          bit-identical: {cosim_ok}"

@@ -16,7 +16,14 @@
 //! all-ones scrambler sequence of §17.3.5.4), the constant is embedded
 //! so the check is anchored to the document, not to either program.
 
+use wlan_dsp::iir::DcBlocker;
 use wlan_dsp::{Complex, Rng};
+use wlan_rf::adc::Adc;
+use wlan_rf::agc::Agc;
+use wlan_rf::filters::{ChannelSelectFilter, DcBlockFilter};
+use wlan_rf::mixer::Mixer;
+use wlan_rf::receiver::RfConfig;
+use wlan_rf::Amplifier;
 use wlan_units::{Db, Dbm};
 
 /// §17.3.5.4: the 127-bit output of the scrambler seeded with all
@@ -625,6 +632,96 @@ pub fn nearest_level_reference(levels: &[f64], y: f64) -> f64 {
         .iter()
         .min_by(|a, b| (*a - y).abs().partial_cmp(&(*b - y).abs()).unwrap())
         .expect("non-empty levels")
+}
+
+/// The double-conversion front end of
+/// `wlan_rf::receiver::DoubleConversionReceiver`, restated sample by
+/// sample from the stage models' public constructors: each input sample
+/// runs through the LNA, mixer 1, the inter-stage highpass, the
+/// quadrature mixer and the channel filter by their `push`; the AGC
+/// then levels the frame, the ADC converts every sample, and the
+/// decimator keeps every `osr`-th one (its phase carried across frames)
+/// through the 40 kHz digital DC correction at the output rate. The
+/// noise streams fork from `Rng::new(seed)` in the receiver's order:
+/// LNA, mixer 1, mixer 2.
+///
+/// The receiver runs each stage over the whole frame instead; it must
+/// reproduce this chain bit for bit, frame after frame.
+#[derive(Debug, Clone)]
+pub struct RfChainReference {
+    lna: Amplifier,
+    mixer1: Mixer,
+    hpf: DcBlockFilter,
+    mixer2: Mixer,
+    channel_filter: ChannelSelectFilter,
+    agc: Agc,
+    adc: Adc,
+    dc_correction: DcBlocker,
+    osr: usize,
+    phase: usize,
+}
+
+impl RfChainReference {
+    /// Builds the chain from `config`, deriving every noise stream from
+    /// `seed`.
+    pub fn new(config: &RfConfig, seed: u64) -> Self {
+        let fs = config.sample_rate_hz.0;
+        let mut rng = Rng::new(seed);
+        let mut lna = Amplifier::new(
+            config.lna_gain_db,
+            config.lna_nf_db,
+            config.lna_nonlinearity,
+            fs,
+            rng.fork(),
+        );
+        let mut mixer1 = Mixer::new(config.mixer1, fs, rng.fork());
+        let mut mixer2 = Mixer::new(config.mixer2, fs, rng.fork());
+        lna.set_noise_enabled(config.noise_enabled);
+        mixer1.set_noise_enabled(config.noise_enabled);
+        mixer2.set_noise_enabled(config.noise_enabled);
+        RfChainReference {
+            lna,
+            mixer1,
+            hpf: DcBlockFilter::new(config.hpf_cutoff_hz.0, fs),
+            mixer2,
+            channel_filter: ChannelSelectFilter::with_order(
+                config.channel_filter_order,
+                config.channel_filter_ripple_db.0,
+                config.channel_filter_edge_hz.0,
+                fs,
+            ),
+            agc: Agc::new(config.agc, config.agc_target_power),
+            adc: Adc::new(config.adc_bits, config.adc_full_scale),
+            dc_correction: DcBlocker::with_cutoff(40e3, fs / config.osr as f64),
+            osr: config.osr,
+            phase: 0,
+        }
+    }
+
+    /// Processes one oversampled frame, returning its decimated
+    /// baseband output.
+    pub fn process(&mut self, x: &[Complex]) -> Vec<Complex> {
+        let analog: Vec<Complex> = x
+            .iter()
+            .map(|&s| {
+                let s = self.lna.push(s);
+                let s = self.mixer1.push(s);
+                let s = self.hpf.push(s);
+                let s = self.mixer2.push(s);
+                self.channel_filter.push(s)
+            })
+            .collect();
+        let leveled = self.agc.process(&analog);
+        let converted = self.adc.process(&leveled);
+        let mut out = Vec::with_capacity(converted.len() / self.osr + 1);
+        for s in converted {
+            if self.phase == 0 {
+                out.push(self.dc_correction.push(s));
+            }
+            self.phase = (self.phase + 1) % self.osr;
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! front end assembled block-by-block as a dataflow schematic, executed
 //! by the scheduler, and exportable as Graphviz DOT.
 //!
-//! This is the same signal chain as the monolithic
-//! [`wlan_rf::DoubleConversionReceiver`], but with every stage a
-//! separate schematic block — the way the SPW user of the paper drew it.
+//! The blocks are the stages of one [`wlan_rf::DoubleConversionReceiver`],
+//! each a separate schematic block — the way the SPW user of the paper
+//! drew it — so the schematic runs exactly the receiver's chain.
 
 use crate::experiments::{Experiment, PointStat, RunContext, RunOutput};
 use crate::report::Table;
@@ -14,14 +14,8 @@ use wlan_dataflow::blocks::{FnBlock, SourceBlock};
 use wlan_dataflow::graph::Graph;
 use wlan_dataflow::probe::Probe;
 use wlan_dataflow::sim::Simulation;
-use wlan_dsp::iir::DcBlocker;
 use wlan_dsp::{Complex, Rng};
-use wlan_rf::adc::Adc;
-use wlan_rf::agc::{Agc, AgcMode};
-use wlan_rf::amplifier::Amplifier;
-use wlan_rf::filters::{ChannelSelectFilter, DcBlockFilter};
-use wlan_rf::mixer::Mixer;
-use wlan_rf::receiver::RfConfig;
+use wlan_rf::receiver::{DoubleConversionReceiver, RfConfig, RfStage};
 
 /// The assembled schematic plus its output probe.
 pub struct ReceiverSchematic {
@@ -114,117 +108,45 @@ impl Experiment for Fig3Schematic {
 }
 
 /// Builds the Fig. 3 schematic for an input `scene` at the oversampled
-/// rate, using `config` for every stage parameter.
+/// rate: one [`DoubleConversionReceiver::new`]`(config, seed)` shared by
+/// a block per [`RfStage`], then an `adc` and a `decimate` block over
+/// the same receiver's converter, decimator and DC correction. The
+/// source emits the whole scene as one frame, so the AGC sees what the
+/// receiver's [`DoubleConversionReceiver::process`] sees and the output
+/// equals it bit for bit.
 pub fn build(scene: Vec<Complex>, config: &RfConfig, seed: u64) -> ReceiverSchematic {
-    let fs = config.sample_rate_hz.0;
-    let mut rng = Rng::new(seed);
+    let rx = Rc::new(RefCell::new(DoubleConversionReceiver::new(*config, seed)));
     let mut g = Graph::new();
-
-    let src = g.add(SourceBlock::new("rf_in", scene, 4096));
-
-    let lna = Rc::new(RefCell::new(Amplifier::new(
-        config.lna_gain_db,
-        config.lna_nf_db,
-        config.lna_nonlinearity,
-        fs,
-        rng.fork(),
-    )));
-    lna.borrow_mut().set_noise_enabled(config.noise_enabled);
-    let lna_blk = {
-        let lna = Rc::clone(&lna);
-        g.add(FnBlock::new("lna", move |x: &[Complex]| {
-            lna.borrow_mut().process(x)
-        }))
-    };
-
-    let mix1 = Rc::new(RefCell::new(Mixer::new(config.mixer1, fs, rng.fork())));
-    mix1.borrow_mut().set_noise_enabled(config.noise_enabled);
-    let mix1_blk = {
-        let m = Rc::clone(&mix1);
-        g.add(FnBlock::new("mixer1", move |x: &[Complex]| {
-            m.borrow_mut().process(x)
-        }))
-    };
-
-    let hpf = Rc::new(RefCell::new(DcBlockFilter::new(config.hpf_cutoff_hz.0, fs)));
-    let hpf_blk = {
-        let f = Rc::clone(&hpf);
-        g.add(FnBlock::new("hpf", move |x: &[Complex]| {
-            f.borrow_mut().process(x)
-        }))
-    };
-
-    let mix2 = Rc::new(RefCell::new(Mixer::new(config.mixer2, fs, rng.fork())));
-    mix2.borrow_mut().set_noise_enabled(config.noise_enabled);
-    let mix2_blk = {
-        let m = Rc::clone(&mix2);
-        g.add(FnBlock::new("mixer2_iq", move |x: &[Complex]| {
-            m.borrow_mut().process(x)
-        }))
-    };
-
-    let lpf = Rc::new(RefCell::new(ChannelSelectFilter::with_order(
-        config.channel_filter_order,
-        config.channel_filter_ripple_db.0,
-        config.channel_filter_edge_hz.0,
-        fs,
-    )));
-    let lpf_blk = {
-        let f = Rc::clone(&lpf);
-        g.add(FnBlock::new("bb_filter", move |x: &[Complex]| {
-            f.borrow_mut().process(x)
-        }))
-    };
-
-    let agc = Rc::new(RefCell::new(Agc::new(
-        AgcMode::Ideal,
-        config.agc_target_power,
-    )));
-    let agc_blk = {
-        let a = Rc::clone(&agc);
-        g.add(FnBlock::new("bb_amp_agc", move |x: &[Complex]| {
-            a.borrow_mut().process(x)
-        }))
-    };
-
-    let adc = Adc::new(config.adc_bits, config.adc_full_scale);
-    let adc_blk = g.add(FnBlock::new("adc", move |x: &[Complex]| adc.process(x)));
-
+    let frame = scene.len().max(1);
+    let mut chain = vec![g.add(SourceBlock::new("rf_in", scene, frame))];
+    for stage in RfStage::ALL {
+        let rx = Rc::clone(&rx);
+        chain.push(g.add(FnBlock::new(stage.name(), move |x: &[Complex]| {
+            let mut y = x.to_vec();
+            rx.borrow_mut().stage_in_place(stage, &mut y);
+            y
+        })));
+    }
+    let adc_rx = Rc::clone(&rx);
+    chain.push(g.add(FnBlock::new("adc", move |x: &[Complex]| {
+        adc_rx.borrow().adc().process(x)
+    })));
     let osr = config.osr;
-    let dc = Rc::new(RefCell::new(DcBlocker::with_cutoff(40e3, fs / osr as f64)));
-    let phase = Rc::new(RefCell::new(0usize));
-    let dec_blk = {
-        let dc = Rc::clone(&dc);
-        let phase = Rc::clone(&phase);
-        g.add(FnBlock::with_rates(
-            "decimate",
-            osr,
-            1,
-            move |x: &[Complex]| {
-                let mut out = Vec::with_capacity(x.len() / osr + 1);
-                let mut ph = phase.borrow_mut();
-                let mut blk = dc.borrow_mut();
-                for &s in x {
-                    if *ph == 0 {
-                        out.push(blk.push(s));
-                    }
-                    *ph = (*ph + 1) % osr;
-                }
-                out
-            },
-        ))
-    };
-
+    chain.push(g.add(FnBlock::with_rates(
+        "decimate",
+        osr,
+        1,
+        move |x: &[Complex]| {
+            let mut out = Vec::with_capacity(x.len() / osr + 1);
+            rx.borrow_mut().decimate_into(x, &mut out);
+            out
+        },
+    )));
     let output = Probe::new();
-    let sink = g.add(output.block("baseband_out"));
-
-    let chain = [
-        src, lna_blk, mix1_blk, hpf_blk, mix2_blk, lpf_blk, agc_blk, adc_blk, dec_blk, sink,
-    ];
+    chain.push(g.add(output.block("baseband_out")));
     for w in chain.windows(2) {
         g.connect(w[0], 0, w[1], 0).expect("linear chain wires up");
     }
-
     ReceiverSchematic { graph: g, output }
 }
 
@@ -295,28 +217,36 @@ mod tests {
         assert_eq!(got.psdu, psdu);
     }
 
+    /// Runs the schematic and the receiver on the same scene and seed and
+    /// asserts equal output bits.
+    fn assert_schematic_is_receiver(cfg: &RfConfig) {
+        let (scene, _) = test_scene(3);
+        let (_, out_graph) = run(scene.clone(), cfg, 7);
+        let out_mono = DoubleConversionReceiver::new(*cfg, 7).process(&scene);
+        assert_eq!(out_graph.len(), out_mono.len());
+        for (i, (a, b)) in out_graph.iter().zip(&out_mono).enumerate() {
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "sample {i}: graph {a:?} vs receiver {b:?}"
+            );
+        }
+    }
+
     #[test]
     fn schematic_equivalent_to_monolithic_receiver() {
-        // Noise off → both paths are deterministic; outputs must agree
-        // closely (the blocks are the same models in the same order; the
-        // only difference is the per-frame AGC boundary).
-        let (scene, _) = test_scene(3);
-        let cfg = RfConfig {
-            noise_enabled: false,
+        for noise_enabled in [false, true] {
+            assert_schematic_is_receiver(&RfConfig {
+                noise_enabled,
+                ..RfConfig::default()
+            });
+        }
+    }
+
+    #[test]
+    fn schematic_follows_feedback_agc() {
+        assert_schematic_is_receiver(&RfConfig {
+            agc: wlan_rf::agc::AgcMode::Feedback { rate: 1e-3 },
             ..RfConfig::default()
-        };
-        let (_, out_graph) = run(scene.clone(), &cfg, 7);
-        let mut mono = wlan_rf::receiver::DoubleConversionReceiver::new(cfg, 7);
-        let out_mono = mono.process(&scene);
-        assert_eq!(out_graph.len(), out_mono.len());
-        // Compare steady-state EVM-style distance on the tails.
-        let err: f64 = out_graph[500..]
-            .iter()
-            .zip(out_mono[500..].iter())
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum::<f64>()
-            / (out_graph.len() - 500) as f64;
-        let p = wlan_dsp::complex::mean_power(&out_mono[500..]);
-        assert!(err < 0.02 * p, "graph vs monolithic mismatch: {err} vs {p}");
+        });
     }
 }

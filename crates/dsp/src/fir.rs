@@ -158,20 +158,6 @@ impl Fir {
     }
 }
 
-/// Convolves a signal with an impulse response ("full" length `x+h-1`).
-pub fn convolve(x: &[Complex], h: &[f64]) -> Vec<Complex> {
-    if x.is_empty() || h.is_empty() {
-        return Vec::new();
-    }
-    let mut y = vec![Complex::ZERO; x.len() + h.len() - 1];
-    for (i, &xi) in x.iter().enumerate() {
-        for (j, &hj) in h.iter().enumerate() {
-            y[i + j] += xi * hj;
-        }
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,15 +241,16 @@ mod tests {
 
     #[test]
     fn convolve_known_result() {
-        let x = vec![Complex::from_re(1.0), Complex::from_re(2.0)];
-        let h = [1.0, 1.0, 1.0];
-        let y = convolve(&x, &h);
+        // Zero-padded by `h.len() − 1`, the streaming filter gives the
+        // full convolution.
+        let x = [1.0, 2.0, 0.0, 0.0].map(Complex::from_re);
+        let mut f = Fir::new(vec![1.0, 1.0, 1.0]);
+        let y = f.process(&x);
         let expect = [1.0, 3.0, 3.0, 2.0];
-        assert_eq!(y.len(), 4);
         for (a, e) in y.iter().zip(expect.iter()) {
             assert!((a.re - e).abs() < 1e-15);
         }
-        assert!(convolve(&[], &h).is_empty());
+        assert!(f.process(&[]).is_empty());
     }
 
     #[test]

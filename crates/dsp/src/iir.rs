@@ -145,13 +145,6 @@ impl Sos {
         }
     }
 
-    /// Filters a frame of real samples.
-    pub fn process_real(&mut self, x: &[f64]) -> Vec<f64> {
-        x.iter()
-            .map(|&v| self.push(Complex::from_re(v)).re)
-            .collect()
-    }
-
     /// Clears all section states.
     pub fn reset(&mut self) {
         for s in self.sections.iter_mut() {
@@ -176,19 +169,6 @@ impl Sos {
     /// `true` when every section is stable.
     pub fn is_stable(&self) -> bool {
         self.sections.iter().all(|s| s.is_stable())
-    }
-
-    /// The first `n` samples of the impulse response (resets a clone of
-    /// the filter, so the caller's state is untouched).
-    pub fn impulse_response(&self, n: usize) -> Vec<f64> {
-        let mut f = self.clone();
-        f.reset();
-        (0..n)
-            .map(|i| {
-                let x = if i == 0 { Complex::ONE } else { Complex::ZERO };
-                f.push(x).re
-            })
-            .collect()
     }
 
     /// Numerical group delay in samples at normalized frequency `f`
@@ -358,22 +338,25 @@ mod tests {
     #[test]
     fn sos_reset_and_real_processing() {
         let mut sos = Sos::new(vec![Biquad::new([1.0, 1.0, 0.0], [0.0, 0.0])], 1.0);
-        let y1 = sos.process_real(&[1.0, 0.0, 0.0]);
+        let x = [1.0, 0.0, 0.0].map(Complex::from_re);
+        let y1 = sos.process(&x);
         sos.reset();
-        let y2 = sos.process_real(&[1.0, 0.0, 0.0]);
+        let y2 = sos.process(&x);
         assert_eq!(y1, y2);
-        assert_eq!(y1, vec![1.0, 1.0, 0.0]);
+        assert_eq!(y1, [1.0, 1.0, 0.0].map(Complex::from_re));
     }
 
     #[test]
     fn impulse_response_sums_to_dc_gain() {
         let mut f = crate::design::butterworth(3, crate::design::FilterKind::Lowpass, 1e6, 20e6);
-        let h = f.impulse_response(4000);
-        let sum: f64 = h.iter().sum();
+        let mut impulse = vec![Complex::ZERO; 4000];
+        impulse[0] = Complex::ONE;
+        let h = f.clone().process(&impulse);
+        let sum: f64 = h.iter().map(|v| v.re).sum();
         assert!((sum - 1.0).abs() < 1e-6, "impulse sum {sum}");
-        // Caller state untouched: pushing after the call starts fresh.
+        // A fresh filter starts the same response.
         let y = f.push(Complex::ONE);
-        assert!((y.re - h[0]).abs() < 1e-12);
+        assert!((y.re - h[0].re).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! profile layer.
 //!
 //! The workspace derives its OFDM numerology — FFT size, cyclic-prefix
-//! length, sample rate — from [`wlan_phy::profile::OfdmProfile`], and
+//! length, sample rate — from `wlan_phy::profile::OfdmProfile`, and
 //! the only legal homes for the raw 802.11a figures are
 //! `crates/phy/src/params.rs` (the legacy constant surface) and
 //! `crates/phy/src/profile.rs` (the profile definitions). This pass is

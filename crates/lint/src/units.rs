@@ -1,7 +1,7 @@
 //! Units pass: gates raw dB math outside the blessed `wlan-units` crate.
 //!
 //! The workspace carries every decibel/frequency quantity in a
-//! [`wlan_units`] newtype, and the only legal `10^(x/10)`-style
+//! `wlan_units` newtype, and the only legal `10^(x/10)`-style
 //! expressions live inside `crates/units` (plus the thin `f64` wrappers
 //! in `wlan_dsp::math` that delegate to them). This pass is the CI
 //! ratchet that keeps it that way: it scans Rust sources textually and

@@ -7,8 +7,8 @@
 //! exact expression as a signed sum of Q-functions: each I/Q axis is an
 //! independent Gray-coded PAM constellation, and a transmitted level is
 //! decided as whatever level's decision region the noisy sample lands
-//! in. [`pam_gray_ber`] enumerates those regions directly instead of
-//! trusting hand-derived formulas.
+//! in. The private `pam_gray_ber` enumerates those regions directly
+//! instead of trusting hand-derived formulas.
 //!
 //! Conventions match the rest of the workspace: `snr_db` is the ratio
 //! of (unit) average symbol power to *total* complex noise power, i.e.

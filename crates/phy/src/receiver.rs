@@ -36,6 +36,9 @@ pub enum RxError {
     },
     /// The scrambler seed could not be recovered from the SERVICE field.
     ScramblerSync,
+    /// The equalized DATA constellation holds a non-finite value, so
+    /// its EVM is not a number.
+    NonFinite,
 }
 
 impl std::fmt::Display for RxError {
@@ -51,6 +54,7 @@ impl std::fmt::Display for RxError {
                 )
             }
             RxError::ScramblerSync => write!(f, "scrambler seed recovery failed"),
+            RxError::NonFinite => write!(f, "non-finite DATA constellation"),
         }
     }
 }
@@ -461,6 +465,11 @@ impl Receiver {
             }
         }
         let evm_rms = (ev_acc / ev_n as f64).sqrt();
+        // One non-finite constellation point makes the EVM sum
+        // non-finite, so this one test covers both.
+        if !evm_rms.is_finite() {
+            return Err(RxError::NonFinite);
+        }
 
         // Decode.
         depuncture_into(llrs, rate.code_rate(), full);
@@ -667,8 +676,8 @@ mod tests {
     fn non_finite_bursts_never_panic() {
         // All-NaN and all-infinite input fail detection. A clean burst
         // whose DATA field turns NaN or infinite after the SIGNAL symbol
-        // carries non-finite values through the EVM slicer and the
-        // decoder, which must not panic on them.
+        // carries non-finite values through the EVM slicer, which must
+        // not panic on them, and never decodes.
         let rx = Receiver::new();
         let mut s = RxScratch::default();
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -686,7 +695,13 @@ mod tests {
             for z in &mut x[400 + 80 * 3..] {
                 *z = Complex::new(v, -v);
             }
-            let _ = rx.receive_into(&x, &mut s);
+            let got = rx.receive_into(&x, &mut s).err();
+            if v.is_nan() {
+                assert_eq!(got, Some(RxError::NonFinite));
+            } else {
+                // Infinite samples also swamp the detector's energy gate.
+                assert!(got.is_some(), "{v}: decoded");
+            }
         }
     }
 

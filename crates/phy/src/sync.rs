@@ -1,10 +1,7 @@
 //! Packet detection, carrier-frequency-offset estimation and symbol
 //! timing for the OFDM receiver, parameterized by the numerology
-//! profile (the bare-name functions are 802.11a wrappers).
+//! profile.
 
-use crate::ofdm::Ofdm;
-use crate::params::SAMPLE_RATE;
-use crate::preamble::{long_training_symbol, STF_PERIOD};
 use crate::simd::SimdLevel;
 use wlan_dsp::Complex;
 
@@ -18,30 +15,15 @@ pub struct Detection {
 }
 
 /// Detects a packet by the Schmidl–Cox style periodicity metric of the
-/// 802.11a short training field.
+/// short training field: `stf_period` is the short-training
+/// periodicity in samples and `sample_rate` scales the CFO estimate to
+/// Hz.
 ///
 /// `threshold` is the normalized metric `|P|/R` required (0.5–0.8 is
 /// typical); detection requires `run` consecutive samples above it.
-///
-/// Returns `None` when no plateau is found.
-pub fn detect_packet(samples: &[Complex], threshold: f64, run: usize) -> Option<Detection> {
-    detect_packet_with(samples, threshold, run, &mut Vec::new())
-}
-
-/// [`detect_packet`] reusing a caller-owned history buffer, so
-/// per-packet detection performs no heap allocation in steady state.
-pub fn detect_packet_with(
-    samples: &[Complex],
-    threshold: f64,
-    run: usize,
-    p: &mut Vec<Complex>,
-) -> Option<Detection> {
-    detect_packet_in(samples, threshold, run, STF_PERIOD, SAMPLE_RATE, p)
-}
-
-/// [`detect_packet_with`] for an arbitrary numerology: `stf_period` is
-/// the short-training periodicity in samples and `sample_rate` scales
-/// the CFO estimate to Hz.
+/// Returns `None` when no plateau is found. `p` is a caller-owned
+/// history buffer, so per-packet detection performs no heap allocation
+/// in steady state.
 ///
 /// The delay correlation `P[n] = Σ_{k<2L} x[n+k]·conj(x[n+k+L])` and
 /// its energy `R[n] = Σ_{k<2L} |x[n+k+L]|²` (`L = stf_period`) run as
@@ -141,21 +123,9 @@ impl DelayCorrelation {
     }
 }
 
-/// Removes a carrier frequency offset of `cfo_hz` from 20 Msps
-/// (802.11a) `samples` (derotation by `e^{-j2π·cfo·n/fs}`).
-pub fn correct_cfo(samples: &[Complex], cfo_hz: f64) -> Vec<Complex> {
-    let mut out = Vec::new();
-    correct_cfo_into(samples, cfo_hz, &mut out);
-    out
-}
-
-/// [`correct_cfo`] writing into a caller-owned buffer (cleared first), so
-/// the coarse and fine correction passes reuse their allocations.
-pub fn correct_cfo_into(samples: &[Complex], cfo_hz: f64, out: &mut Vec<Complex>) {
-    correct_cfo_into_at(samples, cfo_hz, SAMPLE_RATE, out);
-}
-
-/// [`correct_cfo_into`] at an explicit sample rate.
+/// Removes a carrier frequency offset of `cfo_hz` from `samples` at
+/// `sample_rate` (derotation by `e^{-j2π·cfo·n/fs}`), writing into a
+/// caller-owned buffer (cleared first).
 pub fn correct_cfo_into_at(
     samples: &[Complex],
     cfo_hz: f64,
@@ -191,32 +161,13 @@ pub(crate) fn correct_cfo_range_append(
     );
 }
 
-/// Locates the first long-training symbol body by cross-correlating with
-/// the known LTF waveform inside `window` (a range of candidate start
-/// indices). Scores each candidate by the combined correlation of both
-/// repetitions (spaced one FFT length).
-///
+/// Locates the first long-training symbol body by cross-correlating
+/// with the LTF template `ltf` (one FFT body, `ltf.len()` defines the
+/// FFT size) inside `window` (a range of candidate start indices),
+/// reusing caller-owned working buffers — the receiver caches the
+/// template once instead of rebuilding it (an IFFT) on every packet.
 /// Returns the sample index of the first LTF body, or `None` if the
 /// window does not fit in the signal.
-pub fn locate_ltf(
-    samples: &[Complex],
-    ofdm: &Ofdm,
-    window: std::ops::Range<usize>,
-) -> Option<usize> {
-    let ltf = long_training_symbol(ofdm);
-    let mut search = LtfSearch::default();
-    locate_ltf_with(
-        samples,
-        &ltf[..ofdm.profile().fft_size],
-        window,
-        &mut search,
-    )
-}
-
-/// [`locate_ltf`] taking a precomputed LTF template (one FFT body,
-/// `ltf.len()` defines the FFT size) and reusing caller-owned working
-/// buffers — the receiver caches the template once instead of
-/// rebuilding it (an IFFT) on every packet.
 ///
 /// Candidate `i` scores `|c[i]| + |c[i + n]|`, where `c[j] = (Σ_k
 /// x[j+k]·conj(ltf[k]))/E` is the template correlation normalized by
@@ -370,16 +321,10 @@ fn xcorr_avx512(
     xcorr_body(xr, xi, ltf, norm, re, im);
 }
 
-/// Fine CFO estimate from the phase drift between the two 802.11a
-/// long-training symbol bodies starting at `ltf_start`.
-///
-/// Returns `None` if the signal is too short.
-pub fn fine_cfo(samples: &[Complex], ltf_start: usize) -> Option<f64> {
-    fine_cfo_at(samples, ltf_start, crate::params::FFT_SIZE, SAMPLE_RATE)
-}
-
-/// [`fine_cfo`] for an arbitrary numerology: the two bodies are
-/// `fft_size` samples each and `sample_rate` scales the estimate to Hz.
+/// Fine CFO estimate from the phase drift between the two long-training
+/// symbol bodies starting at `ltf_start`: the two bodies are `fft_size`
+/// samples each and `sample_rate` scales the estimate to Hz. Returns
+/// `None` if the signal is too short.
 pub fn fine_cfo_at(
     samples: &[Complex],
     ltf_start: usize,
@@ -399,9 +344,46 @@ pub fn fine_cfo_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Rate;
+    use crate::ofdm::Ofdm;
+    use crate::params::{Rate, FFT_SIZE, SAMPLE_RATE};
+    use crate::preamble::{long_training_symbol, STF_PERIOD};
     use crate::transmitter::Transmitter;
     use wlan_dsp::rng::Rng;
+
+    /// 802.11a packet detection.
+    fn detect_packet(samples: &[Complex], threshold: f64, run: usize) -> Option<Detection> {
+        detect_packet_in(
+            samples,
+            threshold,
+            run,
+            STF_PERIOD,
+            SAMPLE_RATE,
+            &mut Vec::new(),
+        )
+    }
+
+    /// 802.11a CFO correction.
+    fn correct_cfo(samples: &[Complex], cfo_hz: f64) -> Vec<Complex> {
+        let mut out = Vec::new();
+        correct_cfo_into_at(samples, cfo_hz, SAMPLE_RATE, &mut out);
+        out
+    }
+
+    /// LTF search with `ofdm`'s template.
+    fn locate_ltf(
+        samples: &[Complex],
+        ofdm: &Ofdm,
+        window: std::ops::Range<usize>,
+    ) -> Option<usize> {
+        let ltf = long_training_symbol(ofdm);
+        let n = ofdm.profile().fft_size;
+        locate_ltf_with(samples, &ltf[..n], window, &mut LtfSearch::default())
+    }
+
+    /// 802.11a fine CFO estimate.
+    fn fine_cfo(samples: &[Complex], ltf_start: usize) -> Option<f64> {
+        fine_cfo_at(samples, ltf_start, FFT_SIZE, SAMPLE_RATE)
+    }
 
     fn burst_with_noise(pad: usize, cfo_hz: f64, snr_db: f64, seed: u64) -> (Vec<Complex>, usize) {
         let burst = Transmitter::new(Rate::R12).transmit(&[0xA7; 60]);

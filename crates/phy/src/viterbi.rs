@@ -1,8 +1,7 @@
 //! Viterbi decoder for the 802.11a (133, 171) convolutional code.
 //!
-//! Supports soft-decision decoding from log-likelihood ratios (the
-//! receiver's normal path, with zero-LLR erasures for punctured bits) and
-//! hard-decision decoding from bits.
+//! Decodes soft decisions: log-likelihood ratios, with zero-LLR erasures
+//! for punctured bits. Hard bits decode as LLRs of ±1.
 //!
 //! The kernel is organized as a reusable [`ViterbiDecoder`] holding
 //! fixed-size `[f64; 64]` metric arrays and a growable decision buffer,
@@ -85,8 +84,6 @@ pub struct ViterbiDecoder {
     /// `(s >> 1) + 32·(s & 1)`: even states in the low word, odd states
     /// in the high word.
     decisions: Vec<u64>,
-    /// Scratch LLRs for [`ViterbiDecoder::decode_hard_into`].
-    hard_llrs: Vec<Llr>,
     /// The clone [`ViterbiDecoder::decode_soft_into`] runs.
     level: SimdLevel,
 }
@@ -115,7 +112,6 @@ impl ViterbiDecoder {
             su,
             sv,
             decisions: Vec::new(),
-            hard_llrs: Vec::new(),
             level: SimdLevel::detect(),
         }
     }
@@ -124,7 +120,6 @@ impl ViterbiDecoder {
     /// trellis steps (information bits) without reallocating.
     pub fn reserve_steps(&mut self, n_steps: usize) {
         self.decisions.reserve(n_steps);
-        self.hard_llrs.reserve(2 * n_steps);
     }
 
     /// Decodes a tail-terminated message from soft inputs into `bits`
@@ -233,24 +228,6 @@ impl ViterbiDecoder {
             state = (state >> 1) | ((evicted as usize) << 5);
         }
     }
-
-    /// Decodes a tail-terminated message from hard bits (two coded bits
-    /// per step, A then B) into `bits`, using the internal LLR scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coded.len()` is odd.
-    pub fn decode_hard_into(&mut self, coded: &[u8], bits: &mut Vec<u8>) {
-        let mut llrs = std::mem::take(&mut self.hard_llrs);
-        llrs.clear();
-        llrs.extend(
-            coded
-                .iter()
-                .map(|&b| if b & 1 == 1 { -1.0f64 } else { 1.0 }),
-        );
-        self.decode_soft_into(&llrs, bits);
-        self.hard_llrs = llrs;
-    }
 }
 
 /// [`ViterbiDecoder::decode_soft_body`] at the target's baseline.
@@ -355,24 +332,19 @@ pub fn decode_soft(llrs: &[Llr]) -> Vec<u8> {
     bits
 }
 
-/// Decodes a tail-terminated message from hard bits (two coded bits per
-/// step, A then B).
-///
-/// # Panics
-///
-/// Panics if `coded.len()` is odd.
-pub fn decode_hard(coded: &[u8]) -> Vec<u8> {
-    let mut dec = ViterbiDecoder::new();
-    let mut bits = Vec::new();
-    dec.decode_hard_into(coded, &mut bits);
-    bits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convolutional::encode;
     use wlan_dsp::rng::Rng;
+
+    /// Hard bits as the LLRs of a perfect channel: +1 for 0, −1 for 1.
+    fn hard_llrs(coded: &[u8]) -> Vec<Llr> {
+        coded
+            .iter()
+            .map(|&b| if b & 1 == 1 { -1.0 } else { 1.0 })
+            .collect()
+    }
 
     fn tailed_message(rng: &mut Rng, len: usize) -> Vec<u8> {
         let mut msg = vec![0u8; len];
@@ -386,7 +358,7 @@ mod tests {
         for len in [10usize, 50, 333] {
             let msg = tailed_message(&mut rng, len);
             let coded = encode(&msg);
-            assert_eq!(decode_hard(&coded), msg, "len {len}");
+            assert_eq!(decode_soft(&hard_llrs(&coded)), msg, "len {len}");
         }
     }
 
@@ -399,7 +371,7 @@ mod tests {
         for pos in [10usize, 90, 170, 310] {
             coded[pos] ^= 1;
         }
-        assert_eq!(decode_hard(&coded), msg);
+        assert_eq!(decode_soft(&hard_llrs(&coded)), msg);
     }
 
     #[test]
@@ -483,7 +455,7 @@ mod tests {
         // still return mostly correct bits via best-state fallback.
         let msg = vec![1u8; 40];
         let coded = encode(&msg);
-        let dec = decode_hard(&coded);
+        let dec = decode_soft(&hard_llrs(&coded));
         // Only the final constraint length or so of bits may be wrong.
         let head_errs = dec[..30]
             .iter()
@@ -664,7 +636,7 @@ mod tests {
         for steps in 1..=6usize {
             let msg: Vec<u8> = (0..steps).map(|i| (i % 2) as u8).collect();
             let coded = encode(&msg);
-            let dec = decode_hard(&coded);
+            let dec = decode_soft(&hard_llrs(&coded));
             assert_eq!(dec.len(), steps);
         }
     }

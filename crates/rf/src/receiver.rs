@@ -187,130 +187,165 @@ impl DoubleConversionReceiver {
         out
     }
 
-    /// [`DoubleConversionReceiver::process`] restructured stage-major
-    /// over one reusable mid-chain buffer: each stage makes one pass over
-    /// the whole frame with its sample-invariant constants hoisted
-    /// (notably the Rapp saturation voltage, three `powf`-class
-    /// evaluations per sample in the naive chain). Every noise process
-    /// owns its RNG stream and every filter is an LTI state machine, so
-    /// per-stage ordering is bit-identical to the per-sample staged
-    /// chain. The AGC then runs in place (Ideal mode needs the whole
-    /// frame) and ADC conversion happens only on decimation-picked
-    /// samples (the ADC is stateless). Steady-state calls at a fixed
-    /// frame length perform no heap allocation.
+    /// [`DoubleConversionReceiver::process`] over one reusable mid-chain
+    /// buffer: each [`RfStage`] makes one pass over the whole frame in
+    /// place, with its sample-invariant constants hoisted (notably the
+    /// Rapp saturation voltage). Every noise process owns its RNG stream
+    /// and every filter is an LTI state machine, so this stage-major
+    /// order is bit-identical to running the chain sample by sample. The
+    /// AGC runs on the whole frame (Ideal mode needs it), and the ADC
+    /// converts only the samples decimation keeps. Steady-state calls at
+    /// a fixed frame length perform no heap allocation.
     pub fn process_into(&mut self, x: &[Complex], scratch: &mut RfScratch, out: &mut Vec<Complex>) {
+        self.process_tapped(x, scratch, out, &mut ());
+    }
+
+    /// [`DoubleConversionReceiver::process_into`] showing every
+    /// inter-stage signal to `tap`: the input as `rf_in`, each
+    /// [`RfStage`] output under its [`RfStage::name`], and the baseband
+    /// output as `decimate`.
+    ///
+    /// The ADC has no tap of its own: it is fused into the decimator and
+    /// converts only the samples decimation keeps. That fused step is the
+    /// one place this chain departs from its stage-by-stage form
+    /// ([`RfStage::ALL`], [`Adc::process`] on every sample, then
+    /// [`DoubleConversionReceiver::decimate_into`]); the converter is
+    /// stateless, so both give the same bits.
+    pub fn process_tapped<T: StageTap>(
+        &mut self,
+        x: &[Complex],
+        scratch: &mut RfScratch,
+        out: &mut Vec<Complex>,
+        tap: &mut T,
+    ) {
+        tap.tap("rf_in", x);
         let mid = &mut scratch.mid;
         mid.clear();
         mid.extend_from_slice(x);
-        self.lna.process_in_place(mid);
-        self.mixer1.process_in_place(mid);
-        self.hpf.process_in_place(mid);
-        self.mixer2.process_in_place(mid);
-        self.channel_filter.process_in_place(mid);
-        self.agc.process_in_place(mid);
+        for stage in RfStage::ALL {
+            self.stage_in_place(stage, mid);
+            tap.tap(stage.name(), mid);
+        }
         out.clear();
         out.reserve(mid.len() / self.config.osr + 1);
-        self.decimate_into(mid, out);
+        self.decimate::<true>(mid, out);
+        tap.tap("decimate", out);
+    }
+
+    /// Runs `stage` over the frame `x` in place, carrying the stage's
+    /// state (filter memories, noise streams, AGC loop) to the next call.
+    pub fn stage_in_place(&mut self, stage: RfStage, x: &mut [Complex]) {
+        match stage {
+            RfStage::Lna => self.lna.process_in_place(x),
+            RfStage::Mixer1 => self.mixer1.process_in_place(x),
+            RfStage::Hpf => self.hpf.process_in_place(x),
+            RfStage::Mixer2 => self.mixer2.process_in_place(x),
+            RfStage::ChannelFilter => self.channel_filter.process_in_place(x),
+            RfStage::Agc => self.agc.process_in_place(x),
+        }
+    }
+
+    /// The ADC that follows the last [`RfStage`].
+    pub fn adc(&self) -> &Adc {
+        &self.adc
+    }
+
+    /// Decimates the ADC output frame `x` to the output rate and removes
+    /// its DC, appending to `out`. The decimator's phase carries across
+    /// calls.
+    pub fn decimate_into(&mut self, x: &[Complex], out: &mut Vec<Complex>) {
+        self.decimate::<false>(x, out);
     }
 
     /// Plain sample picking: channel selectivity is entirely the
     /// Chebyshev filter's job (the Fig. 5 subject), so the decimator
-    /// must not add its own anti-alias filtering.
-    fn decimate_into(&mut self, mid: &[Complex], out: &mut Vec<Complex>) {
-        for &s in mid {
+    /// must not add its own anti-alias filtering. With `CONVERT` the ADC
+    /// converts each kept sample on the way.
+    fn decimate<const CONVERT: bool>(&mut self, x: &[Complex], out: &mut Vec<Complex>) {
+        for &s in x {
             if self.decim_phase == 0 {
-                out.push(self.dc_correction.push(self.adc.convert(s)));
-            }
-            self.decim_phase = (self.decim_phase + 1) % self.config.osr;
-        }
-    }
-
-    /// The original stage-by-stage (one allocation per stage) chain,
-    /// kept as the serial reference the kernel benchmark compares
-    /// [`DoubleConversionReceiver::process_into`] against.
-    #[doc(hidden)]
-    pub fn process_staged(&mut self, x: &[Complex]) -> Vec<Complex> {
-        let v = self.lna.process(x);
-        let v = self.mixer1.process(&v);
-        let v = self.hpf.process(&v);
-        let v = self.mixer2.process(&v);
-        let v = self.channel_filter.process(&v);
-        let v = self.agc.process(&v);
-        let v = self.adc.process(&v);
-        let mut out = Vec::with_capacity(v.len() / self.config.osr + 1);
-        for &s in &v {
-            if self.decim_phase == 0 {
+                let s = if CONVERT { self.adc.convert(s) } else { s };
                 out.push(self.dc_correction.push(s));
             }
             self.decim_phase = (self.decim_phase + 1) % self.config.osr;
         }
-        out
     }
+}
 
-    /// Processes a frame while capturing every inter-stage signal — the
-    /// paper's probe workflow ("signals from the RF part can be
-    /// displayed", §4.3). Expensive (clones each stage output); use
-    /// [`DoubleConversionReceiver::process`] for throughput.
-    pub fn process_traced(&mut self, x: &[Complex]) -> StageTrace {
-        let lna = self.lna.process(x);
-        let mixer1 = self.mixer1.process(&lna);
-        let hpf = self.hpf.process(&mixer1);
-        let mixer2 = self.mixer2.process(&hpf);
-        let filtered = self.channel_filter.process(&mixer2);
-        let agc = self.agc.process(&filtered);
-        let adc = self.adc.process(&agc);
-        let mut baseband = Vec::with_capacity(adc.len() / self.config.osr + 1);
-        for &s in &adc {
-            if self.decim_phase == 0 {
-                baseband.push(self.dc_correction.push(s));
-            }
-            self.decim_phase = (self.decim_phase + 1) % self.config.osr;
-        }
-        StageTrace {
-            input: x.to_vec(),
-            lna,
-            mixer1,
-            hpf,
-            mixer2,
-            filtered,
-            agc,
-            adc,
-            baseband,
+/// The receiver's stages ahead of the ADC, in signal order. Each is
+/// named after its block in the paper's Fig. 3 schematic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RfStage {
+    /// Low-noise amplifier.
+    Lna,
+    /// First mixer (RF → RF/2).
+    Mixer1,
+    /// Inter-stage DC-blocking highpass.
+    Hpf,
+    /// Second, quadrature mixer (RF/2 → 0).
+    Mixer2,
+    /// Channel-select Chebyshev lowpass.
+    ChannelFilter,
+    /// AGC amplifier.
+    Agc,
+}
+
+impl RfStage {
+    /// Every stage, in signal order.
+    pub const ALL: [RfStage; 6] = [
+        RfStage::Lna,
+        RfStage::Mixer1,
+        RfStage::Hpf,
+        RfStage::Mixer2,
+        RfStage::ChannelFilter,
+        RfStage::Agc,
+    ];
+
+    /// The stage's Fig. 3 block name.
+    pub fn name(self) -> &'static str {
+        match self {
+            RfStage::Lna => "lna",
+            RfStage::Mixer1 => "mixer1",
+            RfStage::Hpf => "hpf",
+            RfStage::Mixer2 => "mixer2_iq",
+            RfStage::ChannelFilter => "bb_filter",
+            RfStage::Agc => "bb_amp_agc",
         }
     }
+}
+
+/// A probe on the receiver's inter-stage signals, called by
+/// [`DoubleConversionReceiver::process_tapped`].
+pub trait StageTap {
+    /// Observes `x`, the signal after the stage named `stage`.
+    fn tap(&mut self, stage: &'static str, x: &[Complex]);
+}
+
+/// No probe: the taps compile away.
+impl StageTap for () {
+    #[inline(always)]
+    fn tap(&mut self, _stage: &'static str, _x: &[Complex]) {}
 }
 
 /// Reusable mid-chain buffer for
 /// [`DoubleConversionReceiver::process_into`].
 #[derive(Debug, Clone, Default)]
 pub struct RfScratch {
-    /// Channel-filter output at the oversampled rate (AGC runs on it in
-    /// place).
+    /// The frame at the oversampled rate, which every [`RfStage`]
+    /// processes in place.
     mid: Vec<Complex>,
 }
 
-/// Every inter-stage signal of one traced frame (all at the oversampled
-/// rate except `baseband`).
-#[derive(Debug, Clone)]
+/// A recording [`StageTap`] — the paper's probe workflow ("signals
+/// from the RF part can be displayed", §4.3). Expensive (copies every
+/// stage output); pass `&mut ()` for throughput.
+#[derive(Debug, Clone, Default)]
 pub struct StageTrace {
-    /// The RF input frame.
-    pub input: Vec<Complex>,
-    /// After the LNA.
-    pub lna: Vec<Complex>,
-    /// After the first mixer.
-    pub mixer1: Vec<Complex>,
-    /// After the inter-stage highpass.
-    pub hpf: Vec<Complex>,
-    /// After the quadrature (second) mixer.
-    pub mixer2: Vec<Complex>,
-    /// After the channel-select filter.
-    pub filtered: Vec<Complex>,
-    /// After the AGC.
-    pub agc: Vec<Complex>,
-    /// After the ADC.
-    pub adc: Vec<Complex>,
-    /// The decimated, DC-corrected 20 Msps output.
-    pub baseband: Vec<Complex>,
+    /// `(stage name, signal)` in the order tapped. One frame records
+    /// the RF input (`rf_in`), every [`RfStage`] output at the
+    /// oversampled rate, then the decimated, DC-corrected 20 Msps
+    /// output (`decimate`).
+    pub stages: Vec<(&'static str, Vec<Complex>)>,
 }
 
 impl StageTrace {
@@ -318,17 +353,16 @@ impl StageTrace {
     /// walk") through the chain.
     pub fn level_plan(&self) -> Vec<(&'static str, f64)> {
         use wlan_dsp::complex::mean_power;
-        vec![
-            ("input", mean_power(&self.input)),
-            ("lna", mean_power(&self.lna)),
-            ("mixer1", mean_power(&self.mixer1)),
-            ("hpf", mean_power(&self.hpf)),
-            ("mixer2", mean_power(&self.mixer2)),
-            ("filtered", mean_power(&self.filtered)),
-            ("agc", mean_power(&self.agc)),
-            ("adc", mean_power(&self.adc)),
-            ("baseband", mean_power(&self.baseband)),
-        ]
+        self.stages
+            .iter()
+            .map(|(n, v)| (*n, mean_power(v)))
+            .collect()
+    }
+}
+
+impl StageTap for StageTrace {
+    fn tap(&mut self, stage: &'static str, x: &[Complex]) {
+        self.stages.push((stage, x.to_vec()));
     }
 }
 
@@ -467,6 +501,16 @@ mod tests {
         );
     }
 
+    fn assert_bits_eq(got: &[Complex], want: &[Complex], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "{what}: sample {i}: {g:?} != {w:?}"
+            );
+        }
+    }
+
     #[test]
     fn traced_processing_matches_plain() {
         let cfg = RfConfig {
@@ -476,11 +520,22 @@ mod tests {
         let x = tone_dbm(2e6, 80e6, -50.0, 8000);
         let mut a = DoubleConversionReceiver::new(cfg, 9);
         let mut b = DoubleConversionReceiver::new(cfg, 9);
+        let mut c = DoubleConversionReceiver::new(cfg, 9);
         let plain = a.process(&x);
-        let trace = b.process_traced(&x);
-        assert_eq!(trace.baseband.len(), plain.len());
-        for (p, t) in plain.iter().zip(trace.baseband.iter()) {
-            assert!((*p - *t).abs() < 1e-12);
+        let mut trace = StageTrace::default();
+        b.process_tapped(&x, &mut RfScratch::default(), &mut Vec::new(), &mut trace);
+        // The input, each stage as run by hand, then the baseband output.
+        let mut v = x.clone();
+        let mut want = vec![("rf_in", v.clone())];
+        for stage in RfStage::ALL {
+            c.stage_in_place(stage, &mut v);
+            want.push((stage.name(), v.clone()));
+        }
+        want.push(("decimate", plain));
+        assert_eq!(trace.stages.len(), want.len());
+        for ((name, got), (want_name, want)) in trace.stages.iter().zip(&want) {
+            assert_eq!(name, want_name);
+            assert_bits_eq(got, want, name);
         }
         // The level plan walks the gains: LNA +15 dB, mixer1 +8 dB.
         let plan = trace.level_plan();
@@ -488,31 +543,8 @@ mod tests {
         assert!((db(0, 1) - 15.0).abs() < 0.5, "LNA gain {}", db(0, 1));
         assert!((db(1, 2) - 8.0).abs() < 0.5, "mixer1 gain {}", db(1, 2));
         // AGC levels to ~1.0.
+        assert_eq!(plan[6].0, "bb_amp_agc");
         assert!((plan[6].1 - 1.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn fused_chain_matches_staged_bit_exact() {
-        // Noise ON: identical seeds must give byte-identical outputs, so
-        // the fused per-sample chain draws RNGs in exactly the staged
-        // order. Split the input in two to also cover carried state
-        // (filters, decimator phase) across frames.
-        let x = tone_dbm(2e6, 80e6, -45.0, 8001);
-        let mut fused = DoubleConversionReceiver::new(RfConfig::default(), 42);
-        let mut staged = DoubleConversionReceiver::new(RfConfig::default(), 42);
-        let mut scratch = RfScratch::default();
-        let mut y_fused = Vec::new();
-        let mut got = Vec::new();
-        for part in [&x[..3000], &x[3000..]] {
-            fused.process_into(part, &mut scratch, &mut y_fused);
-            got.extend_from_slice(&y_fused);
-        }
-        let mut want = staged.process_staged(&x[..3000]);
-        want.extend(staged.process_staged(&x[3000..]));
-        assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(want.iter()) {
-            assert!(a.re == b.re && a.im == b.im, "{a:?} != {b:?}");
-        }
     }
 
     #[test]

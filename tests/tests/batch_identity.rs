@@ -1,10 +1,10 @@
 //! Differential test layer: every optimized kernel must be
 //! **bit-identical** to its reference implementation — the fused RF
-//! chain to the staged Vec pipeline, frame after frame with its state
-//! carried across frame boundaries; the Viterbi decoder to the
-//! conformance reference trellis; the chunked co-simulation engine to
-//! its sample-by-sample loop; and the link stepped in batches of
-//! packets to the one-step `run`.
+//! chain to the sample-by-sample reference front end, frame after
+//! frame with its state carried across frame boundaries; the Viterbi
+//! decoder to the conformance reference trellis; the chunked
+//! co-simulation engine to its sample-by-sample loop; and the link
+//! stepped in batches of packets to the one-step `run`.
 //!
 //! Exact `==` on decoded bits and `f64::to_bits` on samples throughout:
 //! these kernels are only allowed to be faster, so the goldens, the
@@ -12,6 +12,7 @@
 //! "close" is failure here.
 
 use wlan_ams::CosimReceiver;
+use wlan_conformance::refimpl::RfChainReference;
 use wlan_dsp::{Complex, Rng};
 use wlan_phy::viterbi::{Llr, ViterbiDecoder};
 use wlan_phy::Rate;
@@ -43,11 +44,11 @@ fn noise_burst(rng: &mut Rng, n: usize, power: f64) -> Vec<Complex> {
     (0..n).map(|_| rng.complex_gaussian(power)).collect()
 }
 
-/// RF chain: the fused `process_into` equals the staged reference
-/// pipeline frame by frame, for several front-end configs and frame
-/// layouts (single frame, equal frames, ragged lengths), so the filter,
-/// decimator-phase and DC-correction state carried across frame
-/// boundaries stays pinned.
+/// RF chain: the stage-major `process_into` equals the conformance
+/// reference front end frame by frame, for several front-end configs
+/// and frame layouts (single frame, equal frames, ragged lengths), so
+/// the filter, decimator-phase and DC-correction state carried across
+/// frame boundaries stays pinned.
 #[test]
 fn rf_chain_batch_matches_scalar_and_staged() {
     let configs = vec![
@@ -78,7 +79,7 @@ fn rf_chain_batch_matches_scalar_and_staged() {
         for (li, layout) in layouts.iter().enumerate() {
             let seed = 0xabc + li as u64;
             let mut frame_rx = DoubleConversionReceiver::new(*cfg, seed);
-            let mut staged_rx = DoubleConversionReceiver::new(*cfg, seed);
+            let mut staged_rx = RfChainReference::new(cfg, seed);
             let mut scratch = RfScratch::default();
             let mut y = Vec::new();
             for (fi, &len) in layout.iter().enumerate() {
@@ -86,8 +87,8 @@ fn rf_chain_batch_matches_scalar_and_staged() {
                 frame_rx.process_into(&frame, &mut scratch, &mut y);
                 assert_bits_eq(
                     &y,
-                    &staged_rx.process_staged(&frame),
-                    &format!("{name}/{li} frame {fi}: process_into vs process_staged"),
+                    &staged_rx.process(&frame),
+                    &format!("{name}/{li} frame {fi}: process_into vs RfChainReference"),
                 );
             }
         }
